@@ -10,13 +10,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import betaincinv, gammaln
 
-from .numerics import kl_divergence, log_binomial_tail, logsumexp
+# log_binomial_tail is not called here: it stays importable from this module
+# as the binomial-tail oracle for the Clopper-Pearson endpoints
+from .numerics import kl_divergence, log_binomial_tail, logsumexp  # noqa: F401
 from .simplex import validate_count_vector, validate_prob_vector
-from .wealth import DirichletPrior, kt_log_wealth
+from .wealth import DirichletPrior
 
 __all__ = [
     "coordinate_log_wealths",
+    "coordinate_log_wealths_many",
     "bonferroni_membership",
     "mixture_membership",
     "sanov_radius",
@@ -28,23 +32,32 @@ __all__ = [
 ]
 
 
+def coordinate_log_wealths_many(counts, t, cands, prior=None):
+    """Per-coordinate KT(2) log wealths over an (A, K) candidate block.
+
+    Entry (a, j) is the two-horse KT log wealth of the binary sequence with
+    counts (k_j, t - k_j) against (m_aj, 1 - m_aj); the K two-horse q terms
+    share one gammaln call.  Candidate coordinates are clipped to [0, 1].
+    """
+    k = np.asarray(counts, dtype=float)
+    m = np.clip(np.asarray(cands, dtype=float), 0.0, 1.0)
+    prior = prior or DirichletPrior.jeffreys(2)
+    a = np.stack([k + prior.alpha[0], (t - k) + prior.alpha[1]])
+    g = gammaln(np.concatenate([a, a.sum(axis=0, keepdims=True)]))
+    q = (g[0] + g[1] - g[2]) - prior.log_beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = (
+            np.where(k > 0.0, k * -np.log(m), 0.0)
+            + np.where(t - k > 0.0, (t - k) * -np.log(1.0 - m), 0.0)
+        )
+    return w + q
+
+
 def coordinate_log_wealths(counts, m, prior=None):
-    """Per-coordinate KT(2) log wealths: coordinate j reduces to the binary
-    sequence with counts (k_j, t - k_j) against candidate (m_j, 1 - m_j)."""
+    """Per-coordinate KT(2) log wealths at one candidate mean m."""
     counts, t = validate_count_vector(counts)
     m = validate_prob_vector(m)
-    K = m.size
-    if prior is None:
-        prior = DirichletPrior.jeffreys(2)
-    out = np.empty(K)
-    for j in range(K):
-        mj = min(max(m[j], 0.0), 1.0)
-        out[j] = kt_log_wealth(
-            np.array([counts[j], t - counts[j]], dtype=float),
-            np.array([mj, 1.0 - mj]),
-            prior,
-        )
-    return out
+    return coordinate_log_wealths_many(counts, t, m[None, :], prior)[0]
 
 
 def bonferroni_membership(coord_log_wealths, delta):
@@ -96,27 +109,21 @@ def mardia_membership(mu_hat, m, t, delta):
     return kl_divergence(mu_hat, m) < mardia_radius(t, K, delta)
 
 
-def _solve_tail(n, k, side, target_log, tol=1e-10):
-    """Bisect for p in [0, 1] with log tail(n, k, p, side) == target_log."""
-    lo, hi = 0.0, 1.0
-    increasing = side == "upper"  # P(X >= k) grows with p; P(X <= k) shrinks
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        val = log_binomial_tail(n, k, mid, side)
-        if (val < target_log) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def clopper_pearson_interval(k, n, delta_prime):
-    """Exact two-sided Clopper-Pearson interval at level 1 - delta_prime."""
-    if not (0 <= k <= n) or n < 1:
+    """Exact two-sided Clopper-Pearson interval at level 1 - delta_prime.
+
+    The endpoints are Beta quantiles, B^-1(dp/2; k, n-k+1) and
+    B^-1(1-dp/2; k+1, n-k), with 0 at k=0 and 1 at k=n.  k may be an array
+    of counts; the endpoints are then arrays of its shape.
+    """
+    k = np.asarray(k)
+    if n < 1 or np.any((k < 0) | (k > n)):
         raise ValueError("clopper_pearson_interval requires 0 <= k <= n, n >= 1")
     if not (0.0 < delta_prime < 1.0):
         raise ValueError("delta_prime must lie in (0, 1)")
-    target = math.log(delta_prime / 2.0)
-    lower = 0.0 if k == 0 else _solve_tail(n, k, "upper", target)
-    upper = 1.0 if k == n else _solve_tail(n, k, "lower", target)
+    half = delta_prime / 2.0
+    lower = np.where(k == 0, 0.0, betaincinv(np.maximum(k, 1), n - k + 1, half))
+    upper = np.where(k == n, 1.0, betaincinv(k + 1, np.maximum(n - k, 1), 1.0 - half))
+    if k.ndim == 0:
+        return float(lower), float(upper)
     return lower, upper

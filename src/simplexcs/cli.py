@@ -73,14 +73,23 @@ def _cmd_simulate(args):
     ):
         if val is not None:
             setattr(cfg, name, val)
+    return _run(cfg, args.out, args.svg)
+
+
+def _run(cfg, out=None, svg=None):
+    """Run an experiment, write its artifacts and print its summary line:
+    the audit summary, or each method's final mean volume."""
     result = run_experiment(cfg)
-    if args.out:
-        emit(result, "csv", args.out)
-        emit(result, "json", args.out + ".json")
-    if args.svg:
-        emit(result, "svg", args.svg)
-    last = {m: s["mean_volume"][-1] for m, s in result["summary"].items()}
-    print(json.dumps({"final_mean_volume": last}, sort_keys=True))
+    if out:
+        emit(result, "csv", out)
+        emit(result, "json", out + ".json")
+    if svg:
+        emit(result, "svg", svg)
+    if result["kind"] == "wor":
+        print(json.dumps(result["summary"], sort_keys=True))
+    else:
+        last = {m: float(s["mean_volume"][-1]) for m, s in result["summary"].items()}
+        print(json.dumps({"final_mean_volume": last}, sort_keys=True))
     return 0
 
 
@@ -94,17 +103,13 @@ def _cmd_wor(args):
         methods=tuple(args.method.split(",")) if args.method else (),
         alpha=args.alpha if args.alpha is not None else 0.5,
     )
-    result = run_experiment(cfg)
-    if args.out:
-        emit(result, "csv", args.out)
-        emit(result, "json", args.out + ".json")
-    print(json.dumps(result["summary"], sort_keys=True))
-    return 0
+    return _run(cfg, args.out)
 
 
 def _wor_stream(census, args):
     """Line protocol: read one 1-based category per line, emit one JSON
-    object per line with the updated audit state."""
+    object per line with the updated audit state.  Once every census is
+    excluded, the last line has no bounds and the stream stops."""
     N = sum(census)
     K = len(census)
     state = AuditState(
@@ -119,13 +124,15 @@ def _wor_stream(census, args):
             if not line:
                 continue
             state.absorb(int(line) - 1)
-            bounds = category_count_bounds(state)
+            empty = state.active_count() == 0
             print(json.dumps({
                 "t": state.t,
                 "active_count": state.active_count(),
-                "bounds": bounds.tolist(),
-                "decided": rank_decided(state),
+                "bounds": None if empty else category_count_bounds(state).tolist(),
+                "decided": not empty and rank_decided(state),
             }))
+            if empty:
+                break
     finally:
         if args.obs:
             src.close()
@@ -195,7 +202,7 @@ def build_parser():
     sub = p.add_subparsers(dest="cmd", required=True)
 
     ps = sub.add_parser("simulate", help="run an i.i.d. simulation experiment")
-    ps.add_argument("--preset", choices=("fig1", "fig3", "custom"), default=None)
+    ps.add_argument("--preset", choices=("fig1", "fig2", "fig3", "custom"), default=None)
     ps.add_argument("--config", help="JSON config file; flags override it")
     ps.add_argument("--k", type=int)
     ps.add_argument("--mu", type=_floats)

@@ -6,26 +6,25 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
 from .baselines import (
     clopper_pearson_interval,
+    coordinate_log_wealths_many,
     mardia_gate,
     mardia_radius,
     sanov_radius,
 )
 from .confset import ConfidenceSet, log_threshold, simplex_candidate_grid
-from .numerics import logsumexp
+from .numerics import kl_divergence, logsumexp
 from .simplex import validate_count_vector, validate_prob_vector
 from .wealth import (
     DirichletPrior,
     UPState,
-    _resolve_prior,
-    kt_log_wealth,
     kt_log_wealth_many,
-    q_kt,
 )
 from .wor import AuditState, rank_decided
 
@@ -46,6 +45,7 @@ __all__ = [
     "gen_categorical",
     "gen_dirichlet",
     "gen_wor",
+    "Rows",
     "run_experiment",
     "emit",
 ]
@@ -182,14 +182,10 @@ def gen_wor(census, rng):
 # ---------------------------------------------------------------------------
 
 
-class _Runner:
-    time_uniform = True
+class KTRunner:
+    """KT mixture wealth at the active candidates, with the truth evaluated
+    in the same block."""
 
-    def metrics(self):
-        raise NotImplementedError
-
-
-class KTRunner(_Runner):
     def __init__(self, candidates, truth, delta, prior):
         self.cs = ConfidenceSet(candidates, delta)
         self.counts = np.zeros(candidates.shape[1])
@@ -198,34 +194,16 @@ class KTRunner(_Runner):
         self.truth_max = 0.0
         self.threshold = log_threshold(delta)
 
-    def step(self, y):
+    def _absorb(self, y):
         self.counts = self.counts + y
-        lw = kt_log_wealth_many(self.counts, self.cs.active_candidates(), self.prior)
-        self.cs.update(lw)
-        self.truth_max = max(
-            self.truth_max, kt_log_wealth(self.counts, self.truth, self.prior)
-        )
 
-    def metrics(self):
-        return (
-            self.cs.relative_volume(),
-            self.truth_max < self.threshold,
-            int(self.cs.active.sum()),
-        )
-
-
-class UPRunner(_Runner):
-    def __init__(self, candidates, truth, delta, prior):
-        self.cs = ConfidenceSet(candidates, delta)
-        self.state = UPState(candidates.shape[1], prior=prior)
-        self.truth = truth
-        self.truth_max = 0.0
-        self.threshold = log_threshold(delta)
+    def _log_wealth_many(self, cands):
+        return kt_log_wealth_many(self.counts, cands, self.prior)
 
     def step(self, y):
-        self.state = self.state.absorb(y)
+        self._absorb(y)
         block = np.vstack([self.cs.active_candidates(), self.truth[None, :]])
-        lw = self.state.log_wealth_many(block)
+        lw = self._log_wealth_many(block)
         self.cs.update(lw[:-1])
         self.truth_max = max(self.truth_max, float(lw[-1]))
 
@@ -237,23 +215,34 @@ class UPRunner(_Runner):
         )
 
 
-class KT2Runner(_Runner):
+class UPRunner(KTRunner):
+    """Universal-portfolio wealth through the UPState dynamic program."""
+
+    def __init__(self, candidates, truth, delta, prior):
+        super().__init__(candidates, truth, delta, prior)
+        self.state = UPState(candidates.shape[1], prior=prior)
+
+    def _absorb(self, y):
+        self.state = self.state.absorb(y)
+
+    def _log_wealth_many(self, cands):
+        return self.state.log_wealth_many(cands)
+
+
+class KT2Runner:
     """Coordinatewise KT(2) wealths aggregated by mixture or Bonferroni."""
 
     def __init__(self, candidates, truth, delta, aggregation):
         self.cands = candidates
         self.truth = truth
-        self.delta = delta
-        self.agg = aggregation
+        self.mix = aggregation == "mix"
         A, K = candidates.shape
         self.K = K
         self.counts = np.zeros(K)
         self.t = 0
-        with np.errstate(divide="ignore"):
-            self.neglog_m = -np.log(candidates)
-            self.neglog_1m = -np.log(1.0 - candidates)
+        self.prior = DirichletPrior.jeffreys(2)
         self.active = np.ones(A, dtype=bool)
-        if aggregation == "mix":
+        if self.mix:
             self.run_max = np.zeros(A)
             self.truth_max = 0.0
             self.limit = log_threshold(delta)
@@ -262,59 +251,27 @@ class KT2Runner(_Runner):
             self.truth_max = np.zeros(K)
             self.limit = math.log(K) + log_threshold(delta)
 
-    def _coord_wealths(self, cands, neglog_m, neglog_1m):
-        t = self.t
-        k = self.counts
-        q2 = np.array(
-            [q_kt(np.array([k[j], t - k[j]])) for j in range(self.K)]
-        )
-        with np.errstate(invalid="ignore"):
-            w = (
-                np.where(k[None, :] > 0.0, k[None, :] * neglog_m, 0.0)
-                + np.where((t - k)[None, :] > 0.0, (t - k)[None, :] * neglog_1m, 0.0)
-                + q2[None, :]
-            )
-        return w
-
     def step(self, y):
         self.counts = self.counts + y
         self.t += 1
         idx = np.flatnonzero(self.active)
-        w = self._coord_wealths(
-            self.cands[idx], self.neglog_m[idx], self.neglog_1m[idx]
-        )
-        with np.errstate(divide="ignore"):
-            tw = self._coord_wealths(
-                self.truth[None, :], -np.log(self.truth[None, :]),
-                -np.log(1.0 - self.truth[None, :]),
-            )[0]
-        if self.agg == "mix":
-            mix = logsumexp(np.nan_to_num(w, nan=np.inf, posinf=np.inf), axis=1)
-            mix = mix - math.log(self.K)
-            rm = np.maximum(self.run_max[idx], mix)
-            self.run_max[idx] = rm
-            self.active[idx] = rm < self.limit
-            self.truth_max = max(
-                self.truth_max, float(logsumexp(tw)) - math.log(self.K)
-            )
-        else:
-            rm = np.maximum(self.run_max[idx], w)
-            self.run_max[idx] = rm
-            self.active[idx] = np.all(rm < self.limit, axis=1)
-            self.truth_max = np.maximum(self.truth_max, tw)
+        block = np.vstack([self.cands[idx], self.truth[None, :]])
+        w = coordinate_log_wealths_many(self.counts, self.t, block, self.prior)
+        if self.mix:
+            w = logsumexp(w, axis=1) - math.log(self.K)
+        rm = np.maximum(self.run_max[idx], w[:-1])
+        self.run_max[idx] = rm
+        below = rm < self.limit
+        self.active[idx] = below if self.mix else np.all(below, axis=1)
+        self.truth_max = np.maximum(self.truth_max, w[-1])
 
     def metrics(self):
-        if self.agg == "mix":
-            covered = self.truth_max < self.limit
-        else:
-            covered = bool(np.all(self.truth_max < self.limit))
+        covered = bool(np.all(self.truth_max < self.limit))
         return float(self.active.mean()), covered, int(self.active.sum())
 
 
-class _FreshSetRunner(_Runner):
+class _FreshSetRunner:
     """Base for the non-time-uniform baselines: sets are rebuilt each step."""
-
-    time_uniform = False
 
     def __init__(self, candidates, truth, delta):
         self.cands = candidates
@@ -348,8 +305,6 @@ class _FreshSetRunner(_Runner):
         return np.nan_to_num(kl, nan=np.inf, posinf=np.inf)
 
     def _kl_to_truth(self):
-        from .numerics import kl_divergence
-
         return kl_divergence(self.counts / self.t, self.truth)
 
 
@@ -375,13 +330,9 @@ class CPBonfRunner(_FreshSetRunner):
 
     def _evaluate(self):
         K = self.cands.shape[1]
-        dp = self.delta / K
-        lo = np.empty(K)
-        hi = np.empty(K)
-        for j in range(K):
-            lo[j], hi[j] = clopper_pearson_interval(
-                int(round(self.counts[j])), self.t, dp
-            )
+        lo, hi = clopper_pearson_interval(
+            np.rint(self.counts).astype(np.int64), self.t, self.delta / K
+        )
         mask = np.all((self.cands >= lo[None, :]) & (self.cands <= hi[None, :]), axis=1)
         covered = bool(np.all((self.truth >= lo) & (self.truth <= hi)))
         return mask, covered
@@ -420,28 +371,29 @@ def _simulate(cfg):
         truth = conc / conc.sum()
     else:
         truth = np.asarray(cfg.mu)
-    rows = []
+    shape = (len(cfg.methods), cfg.trials, T + 1)
+    volume = np.ones(shape)
+    covered = np.ones(shape, dtype=bool)
+    active = np.full(shape, candidates.shape[0], dtype=np.int64)
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
         if cfg.concentration is not None:
             data = gen_dirichlet(cfg.concentration, T, rng)
         else:
             data = gen_categorical(truth, T, rng)
-        runners = {
-            m: _make_runner(m, candidates, truth, cfg.delta, prior)
+        runners = [
+            _make_runner(m, candidates, truth, cfg.delta, prior)
             for m in cfg.methods
-        }
-        for m in cfg.methods:
-            rows.append(_row(m, trial, 0, 1.0, True, candidates.shape[0]))
+        ]
         for t in range(1, T + 1):
-            y = data[t - 1]
-            for m in cfg.methods:
-                runners[m].step(y)
-                vol, cov, cnt = runners[m].metrics()
-                rows.append(_row(m, trial, t, vol, cov, cnt))
-    summary = _summarize_simulate(rows, cfg)
+            for i, runner in enumerate(runners):
+                runner.step(data[t - 1])
+                cell = (i, trial, t)
+                volume[cell], covered[cell], active[cell] = runner.metrics()
+    rows = Rows(cfg.methods, np.broadcast_to(np.arange(T + 1), shape), volume,
+                covered, active)
     return {"kind": "simulate", "config": cfg.to_dict(), "rows": rows,
-            "summary": summary}
+            "summary": _summarize_simulate(rows)}
 
 
 def _row(method, trial, t, volume, covered, active_count, stop_t=None):
@@ -457,29 +409,63 @@ def _row(method, trial, t, volume, covered, active_count, stop_t=None):
     }
 
 
-def _summarize_simulate(rows, cfg):
-    T = cfg.horizon
+class Rows(Sequence):
+    """The rows of a result, stored as columns of shape (methods, trials,
+    steps): steps is T + 1 for a simulation and 1 for an audit.
+
+    A read-only sequence: item i is the plain dict that _row builds, with
+    Python int, float, bool or None values, in the order trial, step,
+    method.  `volume` and `stop_t` are None where a result has no such
+    column.  copy.deepcopy gives a list of the row dicts, which may be edited.
+    """
+
+    def __init__(self, methods, t, volume, covered, active_count, stop_t=None):
+        self.methods = tuple(methods)
+        self.t = t
+        self.volume = volume
+        self.covered = covered
+        self.active_count = active_count
+        self.stop_t = stop_t
+
+    def __len__(self):
+        return self.covered.size
+
+    def __deepcopy__(self, memo):
+        return list(self)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # negative indices, IndexError past the end
+        M, _, S = self.covered.shape
+        trial, rest = divmod(i, S * M)
+        cell = (rest % M, trial, rest // M)
+
+        def value(column):
+            return None if column is None else column[cell].item()
+
+        return _row(self.methods[cell[0]], trial, value(self.t),
+                    value(self.volume), value(self.covered),
+                    value(self.active_count), value(self.stop_t))
+
+
+def _trial_mean(a):
+    """Mean over trials at each step of a (trials, steps) array.  Each mean
+    runs along the last axis of a contiguous (steps, trials) copy, so it sums
+    in the same order as np.mean over one step's list of values."""
+    return np.ascontiguousarray(a.T).mean(axis=1)
+
+
+def _summarize_simulate(rows):
     summary = {}
-    for m in cfg.methods:
-        mrows = [r for r in rows if r["method"] == m]
-        by_t = {}
-        for r in mrows:
-            by_t.setdefault(r["t"], []).append(r)
-        mean_volume = [float(np.mean([r["volume"] for r in by_t[t]]))
-                       for t in range(T + 1)]
-        coverage = [float(np.mean([r["covered"] for r in by_t[t]]))
-                    for t in range(T + 1)]
-        # time-uniform coverage: trial flag never dropped up to t
-        ok = {}
-        uniform = []
-        for t in range(T + 1):
-            for r in by_t[t]:
-                ok[r["trial"]] = ok.get(r["trial"], True) and r["covered"]
-            uniform.append(float(np.mean([ok[tr] for tr in ok])))
+    for i, m in enumerate(rows.methods):
+        covered = rows.covered[i]
         summary[m] = {
-            "mean_volume": mean_volume,
-            "per_step_coverage": coverage,
-            "time_uniform_coverage": uniform,
+            "mean_volume": _trial_mean(rows.volume[i]),
+            "per_step_coverage": _trial_mean(covered),
+            # time-uniform coverage: trial flag never dropped up to t
+            "time_uniform_coverage": _trial_mean(
+                np.logical_and.accumulate(covered, axis=1)),
             "time_uniform": m not in NON_TIME_UNIFORM,
         }
     return summary
@@ -522,42 +508,40 @@ def _run_wor(cfg):
     N = int(census.sum())
     K = census.size
     prior = DirichletPrior(np.full(K, cfg.alpha))
-    rows = []
-    stops = {m: [] for m in cfg.methods}
+    shape = (len(cfg.methods), cfg.trials, 1)
+    stops = np.full(shape, N, dtype=np.int64)
+    covered = np.empty(shape, dtype=bool)
+    active = np.empty(shape, dtype=np.int64)
     for perm in range(cfg.trials):
         rng = trial_rng(cfg.seed, perm)
         labels = gen_wor(census, rng)
-        for m in cfg.methods:
+        for i, m in enumerate(cfg.methods):
             state = AuditState(N, K, cfg.delta, method=m, prior=prior)
-            stop = N
             for t in range(1, N):
                 state.absorb(int(labels[t - 1]))
                 if state.active_count() == 0:
                     # all censuses excluded; no decision is readable
                     break
                 if rank_decided(state):
-                    stop = t
+                    stops[i, perm, 0] = t
                     break
-            covered = _truth_covered_wor(labels, census, N, K, cfg.delta, m, prior)
-            stops[m].append(stop)
-            rows.append(
-                _row(m, perm, stop, None, covered, state.active_count(), stop_t=stop)
-            )
+            covered[i, perm, 0] = _truth_covered_wor(
+                labels, census, N, K, cfg.delta, m, prior)
+            active[i, perm, 0] = state.active_count()
+    rows = Rows(cfg.methods, stops, None, covered, active, stop_t=stops)
+    stop = {m: stops[i, :, 0] for i, m in enumerate(cfg.methods)}
     summary = {
         "population": census.tolist(),
         "N": N,
-        "mean_stop": {m: float(np.mean(stops[m])) for m in cfg.methods},
-        "coverage": {
-            m: float(np.mean([r["covered"] for r in rows if r["method"] == m]))
-            for m in cfg.methods
-        },
+        "mean_stop": {m: float(np.mean(stop[m])) for m in cfg.methods},
+        "coverage": {m: float(np.mean(covered[i]))
+                     for i, m in enumerate(cfg.methods)},
     }
-    if "wor-kt" in stops and "ppr" in stops:
-        kt = np.asarray(stops["wor-kt"], dtype=float)
-        ppr = np.asarray(stops["ppr"], dtype=float)
-        summary["stop_ratio_kt_over_ppr"] = (kt / ppr).tolist()
-        summary["mean_stop_ratio"] = float(np.mean(kt / ppr))
-        summary["frac_kt_no_later"] = float(np.mean(kt <= ppr))
+    if "wor-kt" in stop and "ppr" in stop:
+        ratio = stop["wor-kt"] / stop["ppr"]
+        summary["stop_ratio_kt_over_ppr"] = ratio.tolist()
+        summary["mean_stop_ratio"] = float(np.mean(ratio))
+        summary["frac_kt_no_later"] = float(np.mean(stop["wor-kt"] <= stop["ppr"]))
     return {"kind": "wor", "config": cfg.to_dict(), "rows": rows, "summary": summary}
 
 
@@ -573,7 +557,7 @@ def run_experiment(config):
 # Emitters
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = "method,trial,t,volume,covered,active_count,stop_t\n"
+CSV_COLUMNS = ("method", "trial", "t", "volume", "covered", "active_count", "stop_t")
 
 
 def _fmt(v):
@@ -586,25 +570,25 @@ def _fmt(v):
     return str(v)
 
 
+def _jsonable(obj):
+    """json.dump hook: rows as their dicts, arrays as lists."""
+    if isinstance(obj, Rows):
+        return list(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def emit(result, fmt, path):
     """Write the result bundle as csv, json, or svg."""
     if fmt == "csv":
         with open(path, "w") as fh:
-            fh.write(CSV_HEADER)
+            fh.write(",".join(CSV_COLUMNS) + "\n")
             for r in result["rows"]:
-                fh.write(
-                    ",".join(
-                        _fmt(r[c])
-                        for c in (
-                            "method", "trial", "t", "volume",
-                            "covered", "active_count", "stop_t",
-                        )
-                    )
-                    + "\n"
-                )
+                fh.write(",".join(_fmt(r[c]) for c in CSV_COLUMNS) + "\n")
     elif fmt == "json":
         with open(path, "w") as fh:
-            json.dump(result, fh, sort_keys=True, indent=2)
+            json.dump(result, fh, sort_keys=True, indent=2, default=_jsonable)
             fh.write("\n")
     elif fmt == "svg":
         _emit_svg(result, path)

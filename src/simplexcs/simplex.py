@@ -35,7 +35,8 @@ class GridCapExceeded(RuntimeError):
 def validate_prob_vector(p, tol=1e-9, min_dim=2):
     """Check p lies on the simplex within tol and return it as an array.
 
-    The input is stored exactly as given; it is never renormalized.
+    Coordinates in [-tol, 0) are set to 0, so that no kernel sees a negative
+    mean; the vector is otherwise returned as given, never renormalized.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < min_dim:
@@ -44,7 +45,7 @@ def validate_prob_vector(p, tol=1e-9, min_dim=2):
         raise ValueError("probability vector contains NaN")
     if np.any(p < -tol) or abs(p.sum() - 1.0) > tol:
         raise ValueError(f"not a probability vector within tol={tol}: {p}")
-    return p
+    return np.maximum(p, 0.0)
 
 
 def validate_count_vector(k):

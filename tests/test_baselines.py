@@ -7,6 +7,7 @@ from simplexcs.baselines import (
     bonferroni_membership,
     clopper_pearson_interval,
     coordinate_log_wealths,
+    coordinate_log_wealths_many,
     mardia_gate,
     mardia_membership,
     mardia_radius,
@@ -19,16 +20,27 @@ from simplexcs.wealth import DirichletPrior, kt_log_wealth
 
 
 def test_coordinate_wealths_equal_binary_reduction():
+    # coordinate j is the two-horse KT wealth of (k_j, t - k_j) against
+    # (m_j, 1 - m_j): at one candidate, and over a block with fractional
+    # counts and candidates on the simplex's faces
+    prior = DirichletPrior.jeffreys(2)
+
+    def binary(counts, t, m, j):
+        return kt_log_wealth(np.array([counts[j], t - counts[j]], dtype=float),
+                             np.array([m[j], 1.0 - m[j]]), prior)
+
     counts = np.array([3, 1, 2])
     m = np.array([0.5, 0.2, 0.3])
     w = coordinate_log_wealths(counts, m)
     for j in range(3):
-        two = kt_log_wealth(
-            np.array([counts[j], counts.sum() - counts[j]], dtype=float),
-            np.array([m[j], 1.0 - m[j]]),
-            DirichletPrior.jeffreys(2),
-        )
-        assert w[j] == pytest.approx(two, abs=1e-12)
+        assert w[j] == binary(counts, 6, m, j)
+    frac = np.array([2.25, 0.0, 1.75])
+    cands = np.array([[0.5, 0.2, 0.3], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+                      [0.25, 0.5, 0.25]])
+    block = coordinate_log_wealths_many(frac, 4, cands, prior)
+    for a, m in enumerate(cands):
+        for j in range(3):
+            assert block[a, j] == binary(frac, 4, m, j)
 
 
 def test_bonferroni_membership():
@@ -108,15 +120,38 @@ def test_clopper_pearson_spot_values():
 
 
 def test_clopper_pearson_tail_equations():
-    # endpoints solve the defining tail equations
-    k, n, dp = 3, 11, 0.08
-    lo, hi = clopper_pearson_interval(k, n, dp)
-    assert log_binomial_tail(n, k, lo, "upper") == pytest.approx(
-        math.log(dp / 2.0), abs=1e-7
-    )
-    assert log_binomial_tail(n, k, hi, "lower") == pytest.approx(
-        math.log(dp / 2.0), abs=1e-7
-    )
+    # endpoints solve the defining tail equations, for every k <= n <= 60
+    for dp in (0.08, 0.05 / 3):
+        target = math.log(dp / 2.0)
+        for n in range(1, 61):
+            for k in range(n + 1):
+                lo, hi = clopper_pearson_interval(k, n, dp)
+                if k > 0:
+                    assert log_binomial_tail(n, k, lo, "upper") == pytest.approx(
+                        target, abs=1e-9)
+                if k < n:
+                    assert log_binomial_tail(n, k, hi, "lower") == pytest.approx(
+                        target, abs=1e-9)
+
+
+def test_clopper_pearson_broadcast_equals_scalar():
+    ks = np.array([[0, 1, 7], [13, 29, 30]])
+    lo, hi = clopper_pearson_interval(ks, 30, 0.05)
+    assert lo.shape == hi.shape == ks.shape
+    for idx, k in np.ndenumerate(ks):
+        assert (lo[idx], hi[idx]) == clopper_pearson_interval(int(k), 30, 0.05)
+
+
+def test_clopper_pearson_extreme_counts_exact():
+    # at k=0 and k=n one endpoint is exactly 0 or 1 and the other has the
+    # closed form (dp/2)^(1/n)
+    for n in (1, 2, 9, 60):
+        lo, hi = clopper_pearson_interval(0, n, 0.1)
+        assert lo == 0.0
+        assert hi == pytest.approx(1.0 - 0.05 ** (1.0 / n), rel=1e-12)
+        lo, hi = clopper_pearson_interval(n, n, 0.1)
+        assert hi == 1.0
+        assert lo == pytest.approx(0.05 ** (1.0 / n), rel=1e-12)
 
 
 def test_clopper_pearson_contains_mle():
@@ -133,3 +168,5 @@ def test_clopper_pearson_validation():
         clopper_pearson_interval(3, 2, 0.1)
     with pytest.raises(ValueError):
         clopper_pearson_interval(1, 2, 0.0)
+    with pytest.raises(ValueError):
+        clopper_pearson_interval(np.array([0, 3]), 2, 0.1)

@@ -127,3 +127,34 @@ def test_confset_subcommand(tmp_path, capsys):
     assert 0.0 < payload["relative_volume"] <= 1.0
     header = out.read_text().split("\n", 1)[0]
     assert header == "m1,m2,running_max_log_wealth,active"
+
+
+def test_wor_stream_stops_when_every_census_is_excluded(tmp_path, capsys):
+    # at delta = 0.6 the PPR set of the census (4, 2) is empty after the
+    # draws 2, 2, 1, 1, 1; the stream reports that and reads no further
+    p = tmp_path / "labels.txt"
+    p.write_text("2\n2\n1\n1\n1\n1\n")
+    rc = main([
+        "wor", "--census", "4,2", "--stream", "--obs", str(p),
+        "--delta", "0.6", "--method", "ppr",
+    ])
+    assert rc == 0
+    lines = [json.loads(s) for s in capsys.readouterr().out.strip().split("\n")]
+    assert len(lines) == 5
+    assert all(len(line["bounds"]) == 2 for line in lines[:-1])
+    assert lines[-1] == {"t": 5, "active_count": 0, "bounds": None,
+                         "decided": False}
+
+
+def test_simulate_preset_fig2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"census": [6, 3, 1], "trials": 4, "seed": 2,
+                               "methods": ["ppr"]}))
+    out = tmp_path / "rows.csv"
+    rc = main(["simulate", "--preset", "fig2", "--config", str(cfg),
+               "--out", str(out)])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["N"] == 10
+    assert set(summary["mean_stop"]) == {"ppr"}
+    assert len(out.read_text().strip().split("\n")) == 1 + 4

@@ -98,6 +98,9 @@ def test_validate_prob_vector():
         validate_prob_vector(np.array([-0.1, 1.1]))
     with pytest.raises(ValueError):
         validate_prob_vector(np.array([np.nan, 1.0]))
+    # a coordinate in [-tol, 0) is projected to 0; the rest is kept as given
+    y = validate_prob_vector(np.array([0.5, 0.5 + 5e-10, -5e-10]))
+    assert np.array_equal(y, [0.5, 0.5 + 5e-10, 0.0])
 
 
 def test_validate_count_vector():

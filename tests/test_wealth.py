@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from simplexcs.simplex import enumerate_grid
+from simplexcs.baselines import coordinate_log_wealths
+from simplexcs.simplex import enumerate_grid, validate_prob_vector
 from simplexcs.wealth import (
     DirichletPrior,
     UPState,
@@ -381,3 +384,38 @@ def test_wor_kt_dominates_ppr_small_family():
                 if np.all(rem >= 1) and a > b + 1e-9:
                     strict = True
         assert strict
+
+
+@st.composite
+def _boundary_vectors(draw):
+    """A simplex point that the validator accepts, possibly with one
+    coordinate in [-tol, 0) balanced by another just above its value."""
+    K = draw(st.integers(2, 4))
+    w = draw(st.lists(st.integers(0, 4), min_size=K, max_size=K).filter(any))
+    p = np.asarray(w, dtype=float) / sum(w)
+    i, j = draw(st.permutations(range(K)))[:2]
+    eps = draw(st.sampled_from([0.0, 1e-12, 5e-10, 1e-9]))
+    if p[i] == 0.0:
+        p[i] -= eps
+        p[j] += eps
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(y=_boundary_vectors(), m=_boundary_vectors(), seed=st.integers(0, 99))
+@example(y=np.array([0.5, 0.5 + 5e-10, -5e-10]),
+         m=np.array([0.5, 0.5 + 5e-10, -5e-10]), seed=0)
+def test_kernels_accept_what_the_validator_accepts(y, m, seed):
+    # no crash and no NaN on any input the validator accepts
+    if y.size != m.size:
+        m = np.full(y.size, 1.0 / y.size)
+    validate_prob_vector(y)
+    validate_prob_vector(m)
+    state = UPState(y.size).absorb(y).absorb(np.full(y.size, 1.0 / y.size))
+    assert not math.isnan(state.log_wealth(m))
+    counts = np.random.default_rng(seed).integers(0, 4, size=y.size)
+    kt = kt_log_wealth(counts, m)
+    assert not math.isnan(kt)
+    if np.any((m < 0.0) & (counts > 0)):
+        assert kt == math.inf
+    assert not np.any(np.isnan(coordinate_log_wealths(counts, m)))

@@ -16,7 +16,7 @@ from scipy.special import betaincinv, gammaln
 # as the binomial-tail oracle for the Clopper-Pearson endpoints
 from .numerics import kl_divergence, log_binomial_tail, logsumexp  # noqa: F401
 from .simplex import validate_count_vector, validate_prob_vector
-from .wealth import DirichletPrior
+from .wealth import _resolve_prior
 
 __all__ = [
     "coordinate_log_wealths",
@@ -41,7 +41,7 @@ def coordinate_log_wealths_many(counts, t, cands, prior=None):
     """
     k = np.asarray(counts, dtype=float)
     m = np.clip(np.asarray(cands, dtype=float), 0.0, 1.0)
-    prior = prior or DirichletPrior.jeffreys(2)
+    prior = _resolve_prior(prior, 2)
     a = np.stack([k + prior.alpha[0], (t - k) + prior.alpha[1]])
     g = gammaln(np.concatenate([a, a.sum(axis=0, keepdims=True)]))
     q = (g[0] + g[1] - g[2]) - prior.log_beta

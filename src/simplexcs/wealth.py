@@ -18,7 +18,7 @@ from .simplex import (
     GRID_CAP,
     enumerate_grid,
     grid_size,
-    rank_many,  # noqa: F401  unused here; perfbench/tracing.py patches this name
+    rank_many,
     validate_count_vector,
     validate_prob_vector,
 )
@@ -129,7 +129,7 @@ def constant_bettor_log_wealth(obs, b, m):
 # Universal portfolio dynamic program
 # ---------------------------------------------------------------------------
 
-# per-(K, t) enumeration, predecessor-position and q-term caches; bounded so
+# per-(K, t) enumeration, predecessor-index, and q-term caches; bounded so
 # that one-shot huge grids (K=5, t~100) do not pin gigabytes
 _CACHE_ENTRY_LIMIT = 300_000
 _grid_cache = {}
@@ -148,36 +148,40 @@ def _cached_grid(K, t, cap=GRID_CAP):
     return g
 
 
-def _cached_fgrid(K, t, grid):
+def _cached_fgrid(K, t, cap=GRID_CAP):
     key = (K, t)
     g = _fgrid_cache.get(key)
     if g is None:
-        g = grid.astype(float)
+        g = _cached_grid(K, t, cap=cap).astype(float)
         if g.shape[0] <= _CACHE_ENTRY_LIMIT:
             _fgrid_cache[key] = g
     return g
 
 
-def _pred_maps(K, t, grid):
-    """For each j, the positions in G(K, t) of the rows with k_j >= 1.
-
-    k -> k + e_j maps G(K, t - 1) onto these rows and keeps colex order, so
-    the i-th of them has the rank-i element of G(K, t - 1) as predecessor.
-    """
+def _pred_maps(K, t, cap=GRID_CAP):
+    """For each j: (positions in G(K,t) with k_j >= 1, ranks of k - e_j)."""
     key = (K, t)
     maps = _pred_cache.get(key)
     if maps is None:
-        maps = [np.flatnonzero(grid[:, j] >= 1) for j in range(K)]
+        grid = _cached_grid(K, t, cap=cap)
+        maps = []
+        for j in range(K):
+            pos = np.flatnonzero(grid[:, j] >= 1)
+            pred = grid[pos]
+            pred[:, j] -= 1
+            idx = rank_many(pred)
+            maps.append((pos.astype(np.int64), idx))
         if grid.shape[0] <= _CACHE_ENTRY_LIMIT:
             _pred_cache[key] = maps
     return maps
 
 
-def _q_terms(K, t, prior, grid):
+def _q_terms(K, t, prior, cap=GRID_CAP):
     """log q(k) for every k in G(K, t), in colex order."""
     key = (K, t, tuple(prior.alpha))
     q = _qterm_cache.get(key)
     if q is None:
+        grid = _cached_grid(K, t, cap=cap)
         # counts are integers in [0, t]: per-coordinate gammaln lookup tables
         luts = {}
         q = np.full(grid.shape[0], -gammaln(t + prior.alpha.sum()) - prior.log_beta)
@@ -200,8 +204,7 @@ class UPState:
     """
 
     __slots__ = (
-        "K", "t", "prior", "table", "grid_cap", "_grid", "_weights", "_supp",
-        "_aug",
+        "K", "t", "prior", "table", "grid_cap", "_weights", "_supp", "_aug",
     )
 
     def __init__(self, K, prior=None, grid_cap=GRID_CAP):
@@ -212,19 +215,17 @@ class UPState:
         self.t = 0
         self.table = np.zeros(1)
         self.grid_cap = grid_cap
-        self._grid = None
         self._weights = None
         self._supp = None
         self._aug = None
 
-    def _with(self, t, table, grid):
+    def _with(self, t, table):
         s = UPState.__new__(UPState)
         s.K = self.K
         s.prior = self.prior
         s.t = t
         s.table = table
         s.grid_cap = self.grid_cap
-        s._grid = grid
         s._weights = None
         s._supp = None
         s._aug = None
@@ -232,10 +233,7 @@ class UPState:
 
     @property
     def grid(self):
-        """G(K, t) in colex order, enumerated once per state."""
-        if self._grid is None:
-            self._grid = _cached_grid(self.K, self.t, cap=self.grid_cap)
-        return self._grid
+        return _cached_grid(self.K, self.t, cap=self.grid_cap)
 
     def absorb(self, y):
         """Absorb one simplex-valued observation; returns the new state."""
@@ -245,20 +243,20 @@ class UPState:
         t1 = self.t + 1
         n1 = grid_size(self.K, t1)
         new_table = np.full(n1, -math.inf)
-        grid = _cached_grid(self.K, t1, cap=self.grid_cap)
-        maps = _pred_maps(self.K, t1, grid)
-        for j, pos in enumerate(maps):
+        maps = _pred_maps(self.K, t1, cap=self.grid_cap)
+        for j in range(self.K):
             if y[j] == 0.0:
                 continue
-            contrib = self.table + math.log(y[j])
+            pos, idx = maps[j]
+            contrib = self.table[idx] + math.log(y[j])
             new_table[pos] = np.logaddexp(new_table[pos], contrib)
-        return self._with(t1, new_table, grid)
+        return self._with(t1, new_table)
 
     def _log_weights(self):
         """table[k] + log q(k), the m-independent part of the UP wealth."""
         if self._weights is None:
             self._weights = self.table + _q_terms(
-                self.K, self.t, self.prior, self.grid
+                self.K, self.t, self.prior, cap=self.grid_cap
             )
         return self._weights
 
@@ -276,7 +274,7 @@ class UPState:
         """Float [grid | log-weight] block restricted to rows with mass, so
         the weight add rides along with the matmul."""
         if self._aug is None:
-            grid = _cached_fgrid(self.K, self.t, self.grid)
+            grid = _cached_fgrid(self.K, self.t, cap=self.grid_cap)
             w = self._log_weights()
             alive = w > -math.inf
             if not np.all(alive):

@@ -31,12 +31,7 @@ __all__ = [
 
 
 class AuditState:
-    """Active-census bookkeeping for one audit replay.
-
-    The active censuses are kept as one compact (n, K) array, next to their
-    running-max log-wealths and their row indices in enumerate_grid order;
-    the three are compressed together whenever a draw excludes censuses.
-    """
+    """Active-census bookkeeping for one audit replay."""
 
     def __init__(self, N, K, delta, method="wor-kt", prior=None, cap=GRID_CAP):
         if method not in METHODS:
@@ -47,9 +42,9 @@ class AuditState:
         self.threshold = log_threshold(delta)
         self.method = method
         self.prior = _resolve_prior(prior, K)
-        self._active = enumerate_grid(K, N, cap=cap)
-        self.active_idx = np.arange(self._active.shape[0])
-        self._running_max = np.zeros(self._active.shape[0])
+        self.censuses = enumerate_grid(K, N, cap=cap)
+        self.active_idx = np.arange(self.censuses.shape[0])
+        self.running_max = np.zeros(self.censuses.shape[0])
         self.drawn = np.zeros(K, dtype=np.int64)
         self.t = 0
         # integer lookup tables shared by the vectorized kernels
@@ -58,40 +53,31 @@ class AuditState:
             self._logint = np.log(np.arange(N + 2, dtype=float))
 
     def active_censuses(self):
-        """The active censuses as a read-only (n, K) array."""
-        view = self._active.view()
-        view.flags.writeable = False
-        return view
+        return self.censuses[self.active_idx]
 
     def active_count(self):
         return int(self.active_idx.size)
 
     def _log_wealth_active(self):
-        """Log-wealths of the active censuses at the current draw counts."""
-        act = self._active
+        act = self.censuses[self.active_idx]
         drawn = self.drawn
         t = self.t
         N = self.N
         qv = q_kt(drawn.astype(float), self.prior)
         rem = act - drawn[None, :]
-        pos = np.flatnonzero(drawn >= 1)
-        # a census with fewer of a drawn category than were drawn is
-        # infeasible, and under wor-kt one with none of it left diverges;
-        # column by column, as a reduction over the short rows is slow
-        limit = 0 if self.method == "wor-kt" else -1
-        infeasible = np.zeros(act.shape[0], dtype=bool)
-        for j in pos:
-            infeasible |= rem[:, j] <= limit
+        infeasible = np.any(rem < 0, axis=1)
         w = np.full(act.shape[0], qv)
         if self.method == "wor-kt":
-            logrem = self._logint[np.clip(rem[:, pos], 1, None)]
-            w += t * math.log(N - t) - logrem @ drawn[pos].astype(float)
+            # exhausted-and-drawn categories diverge
+            infeasible |= np.any((rem == 0) & (drawn[None, :] >= 1), axis=1)
+            pos = np.flatnonzero(drawn >= 1)
+            if pos.size:
+                logrem = self._logint[np.clip(rem[:, pos], 1, None)]
+                w += t * math.log(N - t) - logrem @ drawn[pos].astype(float)
         else:  # ppr / perround share the closed-form value
             w += float(self._lgfact[N] - self._lgfact[N - t])
             safe = np.clip(rem, 0, None)
-            # summed column by column, in the order np.sum(axis=1) takes
-            # for K < 8 but without its slow reduction over short rows
-            w -= sum((self._lgfact[act] - self._lgfact[safe]).T)
+            w -= (self._lgfact[act] - self._lgfact[safe]).sum(axis=1)
         w[infeasible] = math.inf
         return w
 
@@ -103,14 +89,10 @@ class AuditState:
             raise ValueError("category out of range")
         self.drawn[category] += 1
         self.t += 1
-        rm = np.maximum(self._running_max, self._log_wealth_active())
-        keep = rm < self.threshold
-        if keep.all():
-            self._running_max = rm
-        else:
-            self._active = np.compress(keep, self._active, axis=0)
-            self._running_max = rm[keep]
-            self.active_idx = self.active_idx[keep]
+        w = self._log_wealth_active()
+        rm = np.maximum(self.running_max[self.active_idx], w)
+        self.running_max[self.active_idx] = rm
+        self.active_idx = self.active_idx[rm < self.threshold]
         return self
 
 
@@ -125,8 +107,8 @@ def category_count_bounds(state):
             "no active census remains: coverage failure or misconfiguration "
             f"(N={state.N}, K={state.K}, method={state.method}, t={state.t})"
         )
-    # column by column: a reduction over axis 0 of an (n, K) array is slow
-    return np.array([[col.min(), col.max()] for col in state.active_censuses().T])
+    act = state.active_censuses()
+    return np.stack([act.min(axis=0), act.max(axis=0)], axis=1)
 
 
 def rank_decided(state):

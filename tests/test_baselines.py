@@ -43,6 +43,11 @@ def test_coordinate_wealths_equal_binary_reduction():
             assert block[a, j] == binary(frac, 4, m, j)
 
 
+def test_coordinate_wealths_reject_prior_of_wrong_dimension():
+    with pytest.raises(ValueError, match="prior dimension mismatch"):
+        coordinate_log_wealths([3, 1, 2], [0.5, 0.2, 0.3], DirichletPrior.jeffreys(3))
+
+
 def test_bonferroni_membership():
     assert bonferroni_membership(np.zeros(2), 0.05)  # all wealths 1
     # K=2, delta=0.05: per-coordinate threshold K/delta = 40 in wealth scale

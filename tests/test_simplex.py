@@ -71,19 +71,6 @@ def test_rank_many_matches_enumeration():
             assert np.array_equal(rank_many(g), np.arange(g.shape[0]))
 
 
-def test_rows_with_a_count_are_the_previous_grid_in_order():
-    # the UP dynamic program reads predecessors off this identity: the rows
-    # of G(K, t) with k_j >= 1, less e_j, are G(K, t - 1) in colex order
-    for K in (2, 3, 4, 5):
-        for t in (1, 2, 6):
-            g = enumerate_grid(K, t)
-            prev = enumerate_grid(K, t - 1)
-            for j in range(K):
-                pred = g[g[:, j] >= 1]
-                pred[:, j] -= 1
-                assert np.array_equal(pred, prev)
-
-
 def test_rank_k2_is_first_coordinate():
     t = 9
     for j in range(t + 1):

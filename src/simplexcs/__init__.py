@@ -20,7 +20,7 @@ from .confset import (
     thm3c_asymptotic_threshold,
 )
 from .harness import ExperimentConfig, emit, run_experiment
-from .numerics import kl_divergence, log_gamma, log_multi_beta, shannon_entropy
+from .numerics import kl_divergence, log_multi_beta, shannon_entropy
 from .simplex import empirical_mean, enumerate_grid, grid_size, rank, unrank
 from .wealth import (
     DirichletPrior,

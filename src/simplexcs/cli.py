@@ -15,7 +15,7 @@ import numpy as np
 
 from .boxreduce import embed
 from .confset import ConfidenceSet, simplex_candidate_grid
-from .harness import ExperimentConfig, apply_preset, emit, run_experiment
+from .harness import DEFAULT_GRID, ExperimentConfig, apply_preset, emit, run_experiment
 from .wealth import (
     DirichletPrior,
     UPState,
@@ -171,7 +171,7 @@ def _cmd_wealth(args):
 def _cmd_confset(args):
     obs = load_observations(args.obs, box=args.box)
     K = obs.shape[1]
-    grid = args.grid or {2: 100, 3: 100, 4: 40}.get(K, 20)
+    grid = args.grid or DEFAULT_GRID.get(K, 20)
     candidates = simplex_candidate_grid(K, grid)
     cs = ConfidenceSet(candidates, args.delta)
     prior = DirichletPrior(np.full(K, args.alpha if args.alpha is not None else 0.5))

@@ -25,7 +25,6 @@ __all__ = [
     "simplex_candidate_grid",
     "ConfidenceSet",
     "realize_on_grid",
-    "relative_volume",
     "boundary_radius",
 ]
 
@@ -141,10 +140,6 @@ def realize_on_grid(kernel, candidates, delta):
     cs = ConfidenceSet(candidates, delta)
     cs.update(kernel(cs.active_candidates()))
     return cs
-
-
-def relative_volume(cs):
-    return cs.relative_volume()
 
 
 def boundary_radius(member, center, direction, iters=16):

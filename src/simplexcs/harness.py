@@ -29,7 +29,6 @@ from .wealth import (
 from .wor import AuditState, rank_decided
 
 SIMULATE_METHODS = ("kt", "up", "kt2-mix", "kt2-bonf", "sanov", "mardia", "cp-bonf")
-WOR_METHODS = ("wor-kt", "ppr", "perround")
 NON_TIME_UNIFORM = {"sanov", "mardia", "cp-bonf"}
 
 DEFAULT_GRID = {2: 100, 3: 100, 4: 40, 5: 20}

@@ -14,22 +14,12 @@ from scipy.special import gammaln
 from scipy.special import logsumexp
 
 __all__ = [
-    "log_gamma",
     "log_multi_beta",
     "kl_divergence",
     "shannon_entropy",
     "log_binomial_tail",
     "logsumexp",
 ]
-
-
-def log_gamma(x):
-    """ln Gamma(x) for x > 0.  Accepts scalars or arrays."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("log_gamma requires x > 0")
-    out = gammaln(x)
-    return float(out) if out.ndim == 0 else out
 
 
 def log_multi_beta(a):

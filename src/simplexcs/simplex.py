@@ -107,36 +107,28 @@ def enumerate_grid(K, t, cap=GRID_CAP):
     return out
 
 
-def _comb_vec(n, r):
-    """C(n, r) elementwise for an int64 array n and a small fixed int r."""
-    n = np.asarray(n, dtype=np.int64)
-    res = np.ones(n.shape, dtype=np.int64)
-    for i in range(r):
-        res = res * (n - i) // (i + 1)
-    return np.where(n >= r, res, 0)
-
-
 def rank_many(A):
-    """Colex ranks of the rows of A within their respective G(K, t)."""
+    """Colex ranks of the rows of A within their respective G(K, t).
+
+    With s_j = k_K + k_1 + ... + k_j, the rank is
+    sum_{j=1}^{K-1} C(s_j + j, j) - C(s_{j-1} + j, j).
+    """
     A = np.asarray(A, dtype=np.int64)
     if A.ndim != 2:
         raise ValueError("rank_many expects a 2-d array of count vectors")
-    M, K = A.shape
-    tsum = A.sum(axis=1)
-    # Pascal table: ctab[n, j] = C(n, j) for every n that can appear below
-    nmax = int(tsum.max(initial=0)) + K
-    ctab = np.empty((nmax + 1, K), dtype=np.int64)
-    ctab[:, 0] = 1
-    narange = np.arange(nmax + 1, dtype=np.int64)
+    K = A.shape[1]
+    s = np.cumsum(np.concatenate([A[:, -1:], A[:, :-1]], axis=1), axis=1)
+    # Pascal table: ctab[j, n] = C(n, j) for every n that can appear below,
+    # by the hockey-stick identity C(n, j) = sum_{m < n} C(m, j - 1)
+    n = int(s[:, -1].max(initial=0)) + K
+    ctab = np.zeros((K, n), dtype=np.int64)
+    ctab[0] = 1
     for j in range(1, K):
-        ctab[:, j] = _comb_vec(narange, j)
-    r = np.zeros(M, dtype=np.int64)
-    suffix = np.zeros(M, dtype=np.int64)
-    for j in range(K - 1, 0, -1):
-        Rj = tsum - suffix
-        r += ctab[Rj + j, j] - ctab[Rj - A[:, j - 1] + j, j]
-        suffix += A[:, j - 1]
-    return r
+        np.cumsum(ctab[j - 1, :-1], out=ctab[j, 1:])
+    # flat index of ctab[j, s + j], for j = 1..K-1
+    off = np.arange(1, K) * (n + 1)
+    flat = ctab.ravel()
+    return (flat[s[:, 1:] + off] - flat[s[:, :-1] + off]).sum(axis=1)
 
 
 def rank(k):

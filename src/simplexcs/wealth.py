@@ -16,6 +16,7 @@ from scipy.special import gammaln
 from .numerics import log_multi_beta, logsumexp
 from .simplex import (
     GRID_CAP,
+    GridCapExceeded,
     enumerate_grid,
     grid_size,
     rank_many,
@@ -91,9 +92,13 @@ def kt_log_wealth(counts, m, prior=None):
 
 
 def kt_log_wealth_many(counts, cands, prior=None):
-    """Vectorized kt_log_wealth over an (A, K) array of candidate means."""
+    """Vectorized kt_log_wealth over an (A, K) array of candidate means.
+
+    Coordinates below 0, such as those in [-tol, 0) that
+    validate_prob_vector accepts, count as 0.
+    """
     counts = np.asarray(counts, dtype=float)
-    cands = np.asarray(cands, dtype=float)
+    cands = np.maximum(np.asarray(cands, dtype=float), 0.0)
     q = q_kt(counts, prior)
     with np.errstate(divide="ignore", invalid="ignore"):
         neglog = -np.log(cands)
@@ -129,166 +134,108 @@ def constant_bettor_log_wealth(obs, b, m):
 # Universal portfolio dynamic program
 # ---------------------------------------------------------------------------
 
-# per-(K, t) enumeration, predecessor-index, and q-term caches; bounded so
-# that one-shot huge grids (K=5, t~100) do not pin gigabytes
-_CACHE_ENTRY_LIMIT = 300_000
-_grid_cache = {}
-_fgrid_cache = {}
-_pred_cache = {}
-_qterm_cache = {}
+# candidate rows per matmul block in UPState.log_wealth_many
+_CHUNK = 256
 
 
-def _cached_grid(K, t, cap=GRID_CAP):
-    key = (K, t)
-    g = _grid_cache.get(key)
-    if g is None:
-        g = enumerate_grid(K, t, cap=cap)
-        if g.shape[0] <= _CACHE_ENTRY_LIMIT:
-            _grid_cache[key] = g
-    return g
+def _next_grid(grid, t):
+    """G(K, t + 1) from G(K, t), as an (M, K) int array in colex order.
 
-
-def _cached_fgrid(K, t, cap=GRID_CAP):
-    key = (K, t)
-    g = _fgrid_cache.get(key)
-    if g is None:
-        g = _cached_grid(K, t, cap=cap).astype(float)
-        if g.shape[0] <= _CACHE_ENTRY_LIMIT:
-            _fgrid_cache[key] = g
-    return g
-
-
-def _pred_maps(K, t, cap=GRID_CAP):
-    """For each j: (positions in G(K,t) with k_j >= 1, ranks of k - e_j)."""
-    key = (K, t)
-    maps = _pred_cache.get(key)
-    if maps is None:
-        grid = _cached_grid(K, t, cap=cap)
-        maps = []
-        for j in range(K):
-            pos = np.flatnonzero(grid[:, j] >= 1)
-            pred = grid[pos]
-            pred[:, j] -= 1
-            idx = rank_many(pred)
-            maps.append((pos.astype(np.int64), idx))
-        if grid.shape[0] <= _CACHE_ENTRY_LIMIT:
-            _pred_cache[key] = maps
-    return maps
-
-
-def _q_terms(K, t, prior, cap=GRID_CAP):
-    """log q(k) for every k in G(K, t), in colex order."""
-    key = (K, t, tuple(prior.alpha))
-    q = _qterm_cache.get(key)
-    if q is None:
-        grid = _cached_grid(K, t, cap=cap)
-        # counts are integers in [0, t]: per-coordinate gammaln lookup tables
-        luts = {}
-        q = np.full(grid.shape[0], -gammaln(t + prior.alpha.sum()) - prior.log_beta)
-        for j in range(K):
-            aj = prior.alpha[j]
-            if aj not in luts:
-                luts[aj] = gammaln(np.arange(t + 1, dtype=float) + aj)
-            q += luts[aj][grid[:, j]]
-        if grid.shape[0] <= _CACHE_ENTRY_LIMIT:
-            _qterm_cache[key] = q
-    return q
+    The rows with k_K >= 1 are G(K, t) plus e_K, in order; the rows with
+    k_K = 0 are G(K - 1, t + 1), at their colex ranks.  Columns are stored
+    contiguously, since every reader takes the grid a column at a time.
+    """
+    K = grid.shape[1]
+    n1 = grid_size(K, t + 1)
+    if n1 > GRID_CAP:
+        raise GridCapExceeded(
+            f"|G({K},{t + 1})| = {n1} exceeds the grid cap of {GRID_CAP} entries"
+        )
+    face = np.zeros((grid_size(K - 1, t + 1), K), dtype=np.int64)
+    face[:, :-1] = enumerate_grid(K - 1, t + 1)
+    zero = rank_many(face)
+    rest = np.ones(n1, dtype=bool)
+    rest[zero] = False
+    out = np.empty((n1, K), dtype=np.int64, order="F")
+    for j in range(K):
+        col = out[:, j]
+        col[rest] = grid[:, j]
+        col[zero] = face[:, j]
+    out[:, -1] += rest
+    return out
 
 
 class UPState:
     """Dynamic-programming state of the universal-portfolio wealth.
 
-    table[r] holds log y^t[k] for the rank-r element of G(K, t); entries
-    sum (in probability scale) to 1 whenever all absorbed observations lie
-    on the simplex.  States are values: absorb returns a new state.
+    grid holds G(K, t) in colex order and table[r] holds log y^t[k] for its
+    row r; entries sum (in probability scale) to 1 whenever all absorbed
+    observations lie on the simplex.  States are values: absorb returns a
+    new state, and each state owns its grid.
     """
 
-    __slots__ = (
-        "K", "t", "prior", "table", "grid_cap", "_weights", "_supp", "_aug",
-    )
+    __slots__ = ("K", "t", "prior", "grid", "table", "_support", "_aug")
 
-    def __init__(self, K, prior=None, grid_cap=GRID_CAP):
+    def __init__(self, K, prior=None):
         if K < 2:
             raise ValueError("UPState requires K >= 2")
         self.K = K
         self.prior = _resolve_prior(prior, K)
         self.t = 0
+        self.grid = np.zeros((1, K), dtype=np.int64)
         self.table = np.zeros(1)
-        self.grid_cap = grid_cap
-        self._weights = None
-        self._supp = None
+        # support[j]: some observation had y_j > 0, i.e. some k with
+        # k_j >= 1 carries mass
+        self._support = np.zeros(K, dtype=bool)
         self._aug = None
-
-    def _with(self, t, table):
-        s = UPState.__new__(UPState)
-        s.K = self.K
-        s.prior = self.prior
-        s.t = t
-        s.table = table
-        s.grid_cap = self.grid_cap
-        s._weights = None
-        s._supp = None
-        s._aug = None
-        return s
-
-    @property
-    def grid(self):
-        return _cached_grid(self.K, self.t, cap=self.grid_cap)
 
     def absorb(self, y):
         """Absorb one simplex-valued observation; returns the new state."""
         y = validate_prob_vector(y)
         if y.size != self.K:
             raise ValueError("observation dimension mismatch")
-        t1 = self.t + 1
-        n1 = grid_size(self.K, t1)
-        new_table = np.full(n1, -math.inf)
-        maps = _pred_maps(self.K, t1, cap=self.grid_cap)
-        for j in range(self.K):
-            if y[j] == 0.0:
-                continue
-            pos, idx = maps[j]
-            contrib = self.table[idx] + math.log(y[j])
-            new_table[pos] = np.logaddexp(new_table[pos], contrib)
-        return self._with(t1, new_table)
-
-    def _log_weights(self):
-        """table[k] + log q(k), the m-independent part of the UP wealth."""
-        if self._weights is None:
-            self._weights = self.table + _q_terms(
-                self.K, self.t, self.prior, cap=self.grid_cap
-            )
-        return self._weights
-
-    def _support(self):
-        """Per-coordinate flag: does any k with k_j >= 1 carry mass?"""
-        if self._supp is None:
-            grid = self.grid
-            alive = self.table > -math.inf
-            self._supp = np.array(
-                [bool(np.any(alive & (grid[:, j] >= 1))) for j in range(self.K)]
-            )
-        return self._supp
+        grid = _next_grid(self.grid, self.t)
+        table = np.full(grid.shape[0], -math.inf)
+        for n, j in enumerate(np.flatnonzero(y)):
+            # the rows with k_j >= 1, less e_j, are G(K, t) in order
+            pos = grid[:, j] >= 1
+            term = self.table + math.log(y[j])
+            # logaddexp(-inf, x) is exactly x, so the first term is stored
+            table[pos] = np.logaddexp(table[pos], term) if n else term
+        s = UPState.__new__(UPState)
+        s.K, s.prior, s.t, s.grid, s.table = self.K, self.prior, self.t + 1, grid, table
+        s._support = self._support | (y > 0.0)
+        s._aug = None
+        return s
 
     def _augmented(self):
         """Float [grid | log-weight] block restricted to rows with mass, so
-        the weight add rides along with the matmul."""
+        the weight add rides along with the matmul.  The log-weight of k is
+        table[k] + log q(k), the m-independent part of the UP wealth."""
         if self._aug is None:
-            grid = _cached_fgrid(self.K, self.t, cap=self.grid_cap)
-            w = self._log_weights()
-            alive = w > -math.inf
+            grid, table = self.grid, self.table
+            alive = table > -math.inf
             if not np.all(alive):
                 grid = grid[alive]
-                w = w[alive]
-            aug = np.empty((grid.shape[0], self.K + 1))
+                table = table[alive]
+            alpha, t = self.prior.alpha, self.t
+            q = np.full(table.size, -gammaln(t + alpha.sum()) - self.prior.log_beta)
+            lut = gammaln(np.arange(t + 1, dtype=float)[:, None] + alpha)
+            for j in range(self.K):
+                q += lut[grid[:, j], j]
+            aug = np.empty((table.size, self.K + 1))
             aug[:, : self.K] = grid
-            aug[:, self.K] = w
+            aug[:, self.K] = table + q
             self._aug = aug
         return self._aug
 
-    def log_wealth_many(self, cands, chunk=256):
-        """Log UP wealth at each row of an (A, K) array of candidate means."""
-        cands = np.asarray(cands, dtype=float)
+    def log_wealth_many(self, cands):
+        """Log UP wealth at each row of an (A, K) array of candidate means.
+
+        Coordinates below 0, such as those in [-tol, 0) that
+        validate_prob_vector accepts, count as 0.
+        """
+        cands = np.maximum(np.asarray(cands, dtype=float), 0.0)
         if cands.ndim != 2 or cands.shape[1] != self.K:
             raise ValueError("candidates must be (A, K)")
         A = cands.shape[0]
@@ -298,17 +245,16 @@ class UPState:
         if aug.shape[0] == 0:
             return np.full(A, -math.inf)
         out = np.empty(A)
-        support = self._support()
         zero_mask = cands == 0.0
         # candidates with a zero coordinate that already carries mass diverge
-        diverged = np.any(zero_mask & support[None, :], axis=1)
+        diverged = np.any(zero_mask & self._support[None, :], axis=1)
         neglog = np.empty((A, self.K + 1))
         neglog[:, : self.K] = np.where(
             zero_mask, 0.0, -np.log(np.where(zero_mask, 1.0, cands))
         )
         neglog[:, self.K] = 1.0
-        for lo in range(0, A, chunk):
-            hi = min(lo + chunk, A)
+        for lo in range(0, A, _CHUNK):
+            hi = min(lo + _CHUNK, A)
             L = aug @ neglog[lo:hi].T  # (M, chunk)
             mx = L.max(axis=0)
             L -= mx[None, :]

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .confset import log_threshold
-from .simplex import GRID_CAP, enumerate_grid, validate_count_vector
+from .simplex import enumerate_grid
 from .wealth import _resolve_prior, q_kt
 
 METHODS = ("wor-kt", "ppr", "perround")
@@ -23,7 +23,6 @@ METHODS = ("wor-kt", "ppr", "perround")
 __all__ = [
     "METHODS",
     "AuditState",
-    "audit_absorb",
     "category_count_bounds",
     "rank_decided",
     "stopping_time",
@@ -33,7 +32,7 @@ __all__ = [
 class AuditState:
     """Active-census bookkeeping for one audit replay."""
 
-    def __init__(self, N, K, delta, method="wor-kt", prior=None, cap=GRID_CAP):
+    def __init__(self, N, K, delta, method="wor-kt", prior=None):
         if method not in METHODS:
             raise ValueError(f"unknown WoR method {method!r}; pick from {METHODS}")
         self.N = N
@@ -42,7 +41,7 @@ class AuditState:
         self.threshold = log_threshold(delta)
         self.method = method
         self.prior = _resolve_prior(prior, K)
-        self.censuses = enumerate_grid(K, N, cap=cap)
+        self.censuses = enumerate_grid(K, N)
         self.active_idx = np.arange(self.censuses.shape[0])
         self.running_max = np.zeros(self.censuses.shape[0])
         self.drawn = np.zeros(K, dtype=np.int64)
@@ -94,10 +93,6 @@ class AuditState:
         self.running_max[self.active_idx] = rm
         self.active_idx = self.active_idx[rm < self.threshold]
         return self
-
-
-def audit_absorb(state, category):
-    return state.absorb(category)
 
 
 def category_count_bounds(state):

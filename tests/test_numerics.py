@@ -6,28 +6,9 @@ import pytest
 from simplexcs.numerics import (
     kl_divergence,
     log_binomial_tail,
-    log_gamma,
     log_multi_beta,
     shannon_entropy,
 )
-
-
-def test_log_gamma_spot_values():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-12)
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-12)
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-12)
-
-
-def test_log_gamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-1.0)
-
-
-def test_log_gamma_vectorized():
-    out = log_gamma(np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(out, [0.0, 0.0, math.log(2.0)])
 
 
 def test_log_multi_beta_spot_values():

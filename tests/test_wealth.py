@@ -6,8 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import simplexcs.wealth
 from simplexcs.baselines import coordinate_log_wealths
-from simplexcs.simplex import enumerate_grid, validate_prob_vector
+from simplexcs.simplex import (
+    GridCapExceeded,
+    enumerate_grid,
+    grid_size,
+    validate_prob_vector,
+)
 from simplexcs.wealth import (
     DirichletPrior,
     UPState,
@@ -245,6 +251,64 @@ def test_up_absorb_validates_input():
         s.absorb(np.array([0.7, 0.7, -0.4]))
 
 
+def _dict_up_table(obs):
+    """The UP table by a dict-keyed dynamic program: y^t[k + e_j] gains
+    y^{t-1}[k] * y_j, starting from y^0[0] = 1."""
+    K = obs.shape[1]
+    table = {(0,) * K: 1.0}
+    for y in obs:
+        new = {}
+        for k, v in table.items():
+            for j in range(K):
+                kj = k[:j] + (k[j] + 1,) + k[j + 1:]
+                new[kj] = new.get(kj, 0.0) + v * y[j]
+        table = new
+    return table
+
+
+def test_up_table_equals_dict_dp():
+    rng = np.random.default_rng(61)
+    for K in (4, 5):
+        obs = rng.dirichlet(np.full(K, 0.8), size=8)
+        for r in (1, 4, 6):
+            obs[r] = np.eye(K)[rng.integers(K)]
+        s = UPState(K)
+        for t in range(1, obs.shape[0] + 1):
+            s = s.absorb(obs[t - 1])
+            grid = enumerate_grid(K, t)
+            assert np.array_equal(s.grid, grid)
+            table = _dict_up_table(obs[:t])
+            want = np.array([table[tuple(k)] for k in grid])
+            assert np.allclose(np.exp(s.table), want, rtol=0.0, atol=1e-12)
+
+
+def test_up_grid_steps_equal_enumeration():
+    for K in (2, 3, 4, 5):
+        grid = UPState(K).grid
+        assert np.array_equal(grid, enumerate_grid(K, 0))
+        for t in range(30):
+            grid = simplexcs.wealth._next_grid(grid, t)
+            want = enumerate_grid(K, t + 1)
+            assert grid.dtype == want.dtype
+            assert np.array_equal(grid, want)
+
+
+def test_up_absorb_checks_grid_cap_before_allocating(monkeypatch):
+    y = np.full(4, 0.25)
+    s = UPState(4).absorb(y).absorb(y)
+    monkeypatch.setattr(simplexcs.wealth, "GRID_CAP", grid_size(4, 3))
+    assert s.absorb(y).table.size == grid_size(4, 3)
+    monkeypatch.setattr(simplexcs.wealth, "GRID_CAP", grid_size(4, 3) - 1)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built past the cap")
+
+    monkeypatch.setattr(simplexcs.wealth, "enumerate_grid", no_grid)
+    monkeypatch.setattr(simplexcs.wealth, "rank_many", no_grid)
+    with pytest.raises(GridCapExceeded):
+        s.absorb(y)
+
+
 # ---------------------------------------------------------------------------
 # Without replacement
 # ---------------------------------------------------------------------------
@@ -413,9 +477,13 @@ def test_kernels_accept_what_the_validator_accepts(y, m, seed):
     validate_prob_vector(m)
     state = UPState(y.size).absorb(y).absorb(np.full(y.size, 1.0 / y.size))
     assert not math.isnan(state.log_wealth(m))
+    assert np.array_equal(state.log_wealth_many(m[None, :]), [state.log_wealth(m)])
     counts = np.random.default_rng(seed).integers(0, 4, size=y.size)
     kt = kt_log_wealth(counts, m)
+    kt_many = kt_log_wealth_many(counts, m[None, :])
     assert not math.isnan(kt)
+    assert not np.any(np.isnan(kt_many))
     if np.any((m < 0.0) & (counts > 0)):
         assert kt == math.inf
+        assert kt_many[0] == math.inf
     assert not np.any(np.isnan(coordinate_log_wealths(counts, m)))

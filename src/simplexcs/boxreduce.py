@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .confset import ConfidenceSet
-
 __all__ = ["embed", "box_membership"]
 
 
@@ -29,13 +27,8 @@ def embed(y, tol=1e-9):
 
 
 def box_membership(m_box, simplex_set):
-    """Is a box-level candidate in the set?  simplex_set is either a
-    point-membership callable or a grid-realized ConfidenceSet (nearest
-    candidate is used)."""
-    point = embed(m_box)
-    if callable(simplex_set):
-        return bool(simplex_set(point))
-    if isinstance(simplex_set, ConfidenceSet):
-        d2 = np.sum((simplex_set.candidates - point[None, :]) ** 2, axis=1)
-        return bool(simplex_set.active[int(np.argmin(d2))])
-    raise TypeError("simplex_set must be callable or a ConfidenceSet")
+    """Is a box-level candidate in the set?  simplex_set is a
+    point-membership callable, evaluated at the embedded candidate."""
+    if not callable(simplex_set):
+        raise TypeError("simplex_set must be a point-membership callable")
+    return bool(simplex_set(embed(m_box)))

@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from .boxreduce import embed
-from .confset import ConfidenceSet, simplex_candidate_grid
-from .harness import DEFAULT_GRID, ExperimentConfig, apply_preset, emit, run_experiment
+from .confset import simplex_candidate_grid
+from .harness import DEFAULT_GRID, ExperimentConfig, emit, run_experiment, running_set
 from .wealth import (
     DirichletPrior,
     UPState,
@@ -114,7 +114,7 @@ def _wor_stream(census, args):
     K = len(census)
     state = AuditState(
         N, K, args.delta or 0.05,
-        method=(args.method or "wor-kt"),
+        method=(args.method or "ppr"),
         prior=DirichletPrior(np.full(K, args.alpha if args.alpha is not None else 0.5)),
     )
     src = open(args.obs) if args.obs else sys.stdin
@@ -173,22 +173,11 @@ def _cmd_confset(args):
     K = obs.shape[1]
     grid = args.grid or DEFAULT_GRID.get(K, 20)
     candidates = simplex_candidate_grid(K, grid)
-    cs = ConfidenceSet(candidates, args.delta)
     prior = DirichletPrior(np.full(K, args.alpha if args.alpha is not None else 0.5))
-    if args.method == "kt":
-        from .wealth import kt_log_wealth_many
-
-        counts = np.zeros(K)
-        for y in obs:
-            counts += y
-            cs.update(kt_log_wealth_many(counts, cs.active_candidates(), prior))
-    elif args.method == "up":
-        state = UPState(K, prior=prior)
-        for y in obs:
-            state = state.absorb(y)
-            cs.update(state.log_wealth_many(cs.active_candidates()))
-    else:
-        raise SystemExit(f"unknown confset method {args.method!r}")
+    state, cs = running_set(args.method, candidates, args.delta, prior)
+    for y in obs:
+        state = state.absorb(y)
+        cs.update(state.log_wealth_many(cs.active_candidates()))
     cs.to_csv(args.out)
     print(json.dumps({"relative_volume": cs.relative_volume()}))
     return 0

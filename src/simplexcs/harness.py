@@ -9,7 +9,6 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .baselines import (
     clopper_pearson_interval,
@@ -25,6 +24,7 @@ from .wealth import (
     DirichletPrior,
     UPState,
     kt_log_wealth_many,
+    wor_log_wealth_many,
 )
 from .wor import AuditState, rank_decided
 
@@ -181,92 +181,84 @@ def gen_wor(census, rng):
 # ---------------------------------------------------------------------------
 
 
-class KTRunner:
-    """KT mixture wealth at the active candidates, with the truth evaluated
-    in the same block."""
+class _Counts:
+    """Running counts of the observations, as a wealth state: absorb(y) and
+    log_wealth_many(cands), like UPState.  kernel(counts, t, cands) gives
+    the log-wealth of an (A, K) candidate block."""
 
-    def __init__(self, candidates, truth, delta, prior):
-        self.cs = ConfidenceSet(candidates, delta)
-        self.counts = np.zeros(candidates.shape[1])
-        self.truth = truth
-        self.prior = prior
-        self.truth_max = 0.0
-        self.threshold = log_threshold(delta)
+    def __init__(self, K, kernel):
+        self.counts = np.zeros(K)
+        self.t = 0
+        self.kernel = kernel
 
-    def _absorb(self, y):
+    def absorb(self, y):
         self.counts = self.counts + y
+        self.t += 1
+        return self
 
-    def _log_wealth_many(self, cands):
-        return kt_log_wealth_many(self.counts, cands, self.prior)
+    def log_wealth_many(self, cands):
+        return self.kernel(self.counts, self.t, cands)
+
+
+_KT2_PRIOR = DirichletPrior.jeffreys(2)
+
+
+def _kt2_mix(counts, t, cands):
+    """Log of the mean of the K coordinatewise KT(2) wealths."""
+    w = coordinate_log_wealths_many(counts, t, cands, _KT2_PRIOR)
+    return logsumexp(w, axis=1) - math.log(cands.shape[1])
+
+
+def _kt2_max(counts, t, cands):
+    """The largest coordinatewise KT(2) log wealth."""
+    return coordinate_log_wealths_many(counts, t, cands, _KT2_PRIOR).max(axis=1)
+
+
+# running-max methods: name -> wealth state for (K, prior); the kernels are
+# looked up when called, so a patched module global is seen
+_SET_STATES = {
+    "kt": lambda K, prior: _Counts(
+        K, lambda counts, t, cands: kt_log_wealth_many(counts, cands, prior)),
+    "up": lambda K, prior: UPState(K, prior=prior),
+    "kt2-mix": lambda K, prior: _Counts(K, _kt2_mix),
+    "kt2-bonf": lambda K, prior: _Counts(K, _kt2_max),
+}
+
+
+def running_set(method, candidates, delta, prior):
+    """A fresh wealth state and ConfidenceSet for a running-max method.
+
+    kt2-bonf's set has level delta / K: every coordinate's running max stays
+    below ln(K / delta) exactly when the running max of the largest does.
+    """
+    K = candidates.shape[1]
+    if method == "kt2-bonf":
+        delta = delta / K
+    return _SET_STATES[method](K, prior), ConfidenceSet(candidates, delta)
+
+
+class SetRunner:
+    """A wealth state folded into a ConfidenceSet each step; the truth is
+    evaluated in the same block as the active candidates."""
+
+    def __init__(self, method, candidates, truth, delta, prior):
+        self.state, self.cs = running_set(method, candidates, delta, prior)
+        self.truth = truth
+        self.truth_max = 0.0
 
     def step(self, y):
-        self._absorb(y)
+        self.state = self.state.absorb(y)
         block = np.vstack([self.cs.active_candidates(), self.truth[None, :]])
-        lw = self._log_wealth_many(block)
+        lw = self.state.log_wealth_many(block)
         self.cs.update(lw[:-1])
         self.truth_max = max(self.truth_max, float(lw[-1]))
 
     def metrics(self):
         return (
             self.cs.relative_volume(),
-            self.truth_max < self.threshold,
+            self.truth_max < self.cs.threshold,
             int(self.cs.active.sum()),
         )
-
-
-class UPRunner(KTRunner):
-    """Universal-portfolio wealth through the UPState dynamic program."""
-
-    def __init__(self, candidates, truth, delta, prior):
-        super().__init__(candidates, truth, delta, prior)
-        self.state = UPState(candidates.shape[1], prior=prior)
-
-    def _absorb(self, y):
-        self.state = self.state.absorb(y)
-
-    def _log_wealth_many(self, cands):
-        return self.state.log_wealth_many(cands)
-
-
-class KT2Runner:
-    """Coordinatewise KT(2) wealths aggregated by mixture or Bonferroni."""
-
-    def __init__(self, candidates, truth, delta, aggregation):
-        self.cands = candidates
-        self.truth = truth
-        self.mix = aggregation == "mix"
-        A, K = candidates.shape
-        self.K = K
-        self.counts = np.zeros(K)
-        self.t = 0
-        self.prior = DirichletPrior.jeffreys(2)
-        self.active = np.ones(A, dtype=bool)
-        if self.mix:
-            self.run_max = np.zeros(A)
-            self.truth_max = 0.0
-            self.limit = log_threshold(delta)
-        else:
-            self.run_max = np.zeros((A, K))
-            self.truth_max = np.zeros(K)
-            self.limit = math.log(K) + log_threshold(delta)
-
-    def step(self, y):
-        self.counts = self.counts + y
-        self.t += 1
-        idx = np.flatnonzero(self.active)
-        block = np.vstack([self.cands[idx], self.truth[None, :]])
-        w = coordinate_log_wealths_many(self.counts, self.t, block, self.prior)
-        if self.mix:
-            w = logsumexp(w, axis=1) - math.log(self.K)
-        rm = np.maximum(self.run_max[idx], w[:-1])
-        self.run_max[idx] = rm
-        below = rm < self.limit
-        self.active[idx] = below if self.mix else np.all(below, axis=1)
-        self.truth_max = np.maximum(self.truth_max, w[-1])
-
-    def metrics(self):
-        covered = bool(np.all(self.truth_max < self.limit))
-        return float(self.active.mean()), covered, int(self.active.sum())
 
 
 class _FreshSetRunner:
@@ -337,21 +329,14 @@ class CPBonfRunner(_FreshSetRunner):
         return mask, covered
 
 
+_FRESH_RUNNERS = {"sanov": SanovRunner, "mardia": MardiaRunner, "cp-bonf": CPBonfRunner}
+
+
 def _make_runner(method, candidates, truth, delta, prior):
-    if method == "kt":
-        return KTRunner(candidates, truth, delta, prior)
-    if method == "up":
-        return UPRunner(candidates, truth, delta, prior)
-    if method == "kt2-mix":
-        return KT2Runner(candidates, truth, delta, "mix")
-    if method == "kt2-bonf":
-        return KT2Runner(candidates, truth, delta, "bonf")
-    if method == "sanov":
-        return SanovRunner(candidates, truth, delta)
-    if method == "mardia":
-        return MardiaRunner(candidates, truth, delta)
-    if method == "cp-bonf":
-        return CPBonfRunner(candidates, truth, delta)
+    if method in _SET_STATES:
+        return SetRunner(method, candidates, truth, delta, prior)
+    if method in _FRESH_RUNNERS:
+        return _FRESH_RUNNERS[method](candidates, truth, delta)
     raise ValueError(f"unknown method {method!r}; pick from {SIMULATE_METHODS}")
 
 
@@ -472,34 +457,9 @@ def _summarize_simulate(rows):
 
 def _truth_covered_wor(labels, census, N, K, delta, method, prior):
     """Does the true census stay active through t = N-1 under this kernel?"""
-    census = np.asarray(census, dtype=np.int64)
-    onehot = np.zeros((N, K))
-    onehot[np.arange(N), labels] = 1.0
-    counts = np.cumsum(onehot, axis=0)[: N - 1]  # K_t for t = 1..N-1
-    ts = np.arange(1, N, dtype=float)
-    alpha = prior.alpha
-    qv = (
-        gammaln(counts + alpha[None, :]).sum(axis=1)
-        - gammaln(ts + alpha.sum())
-        - prior.log_beta
-    )
-    rem = census[None, :] - counts
-    if method == "wor-kt":
-        bad = np.any((rem <= 0) & (counts >= 1), axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(counts >= 1, counts * np.log(np.clip(rem, 1e-300, None)), 0.0)
-        w = qv + ts * np.log(N - ts) - term.sum(axis=1)
-        w[bad] = math.inf
-    else:
-        bad = np.any(rem < 0, axis=1)
-        w = (
-            qv
-            + gammaln(N + 1.0)
-            - gammaln(N - ts + 1.0)
-            - (gammaln(census + 1.0)[None, :] - gammaln(np.clip(rem, 0, None) + 1.0)).sum(axis=1)
-        )
-        w[bad] = math.inf
-    return bool(np.max(w) < log_threshold(delta))
+    counts = np.cumsum(np.eye(K, dtype=np.int64)[labels[: N - 1]], axis=0)
+    w = wor_log_wealth_many(counts, census, N, method, prior)
+    return bool(np.all(w < log_threshold(delta)))
 
 
 def _run_wor(cfg):

@@ -35,6 +35,7 @@ __all__ = [
     "wor_kt_log_wealth",
     "perround_wor_log_wealth",
     "ppr_log_wealth",
+    "wor_log_wealth_many",
 ]
 
 
@@ -85,10 +86,7 @@ def kt_log_wealth(counts, m, prior=None):
     m = validate_prob_vector(m)
     if counts.shape != m.shape:
         raise ValueError("kt_log_wealth: dimension mismatch")
-    if np.any((m == 0.0) & (counts > 0.0)):
-        return math.inf
-    pos = m > 0.0
-    return float(-np.sum(counts[pos] * np.log(m[pos]))) + q_kt(counts, prior)
+    return float(kt_log_wealth_many(counts, m[None, :], prior)[0])
 
 
 def kt_log_wealth_many(counts, cands, prior=None):
@@ -365,3 +363,35 @@ def ppr_log_wealth(drawn, census, prior=None):
         gammaln(N - t + 1.0) - np.sum(gammaln(remaining + 1.0))
     )
     return val + log_multinom_full - log_multinom_rem
+
+
+def wor_log_wealth_many(drawn, censuses, N, method, prior=None):
+    """Vectorized WoR log-wealth of drawn counts against census hypotheses.
+
+    drawn is (K,) or (T, K) and censuses is (A, K) or (K,): the rows pair up
+    by broadcasting.  method "ppr" is ppr_log_wealth and "wor-kt" is
+    wor_kt_log_wealth at m = census / N.  A census below the drawn counts,
+    and under wor-kt a drawn category the census has exhausted, gives +inf.
+    Log-factorials and log-integers are looked up in tables over 0..N, so
+    no gammaln runs over the census rows.
+    """
+    drawn = np.asarray(drawn, dtype=np.int64)
+    censuses = np.asarray(censuses, dtype=np.int64)
+    prior = _resolve_prior(prior, drawn.shape[-1])
+    t = drawn.sum(axis=-1)
+    a = drawn + prior.alpha
+    q = gammaln(a).sum(axis=-1) - gammaln(a.sum(axis=-1)) - prior.log_beta
+    rem = censuses - drawn
+    infeasible = np.any(rem < 0, axis=-1)
+    if method == "wor-kt":
+        infeasible |= np.any((rem == 0) & (drawn >= 1), axis=-1)
+        logint = np.log(np.maximum(np.arange(N + 1, dtype=float), 1.0))
+        w = q + (t * logint[N - t]
+                 - (drawn * logint[np.clip(rem, 1, None)]).sum(axis=-1))
+    elif method == "ppr":
+        lgfact = gammaln(np.arange(N + 1, dtype=float) + 1.0)
+        w = q + (lgfact[N] - lgfact[N - t]) - (
+            lgfact[censuses] - lgfact[np.clip(rem, 0, None)]).sum(axis=-1)
+    else:
+        raise ValueError(f"unknown WoR method {method!r}")
+    return np.where(infeasible, math.inf, w)

@@ -2,23 +2,19 @@
 
 Hypotheses are integer censuses in G(K, N).  Each draw updates the
 running-max log-wealth of every still-active census under the chosen
-kernel (final plug-in KT, posterior-prior ratio, or the per-round
-plug-in, which coincides with PPR in value); excluded censuses are
-dropped permanently.
+kernel (the posterior-prior ratio, or the final plug-in KT, which does
+not cover the true census); excluded censuses are dropped permanently.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy.special import gammaln
 
 from .confset import log_threshold
 from .simplex import enumerate_grid
-from .wealth import _resolve_prior, q_kt
+from .wealth import _resolve_prior, wor_log_wealth_many
 
-METHODS = ("wor-kt", "ppr", "perround")
+METHODS = ("wor-kt", "ppr")
 
 __all__ = [
     "METHODS",
@@ -32,7 +28,7 @@ __all__ = [
 class AuditState:
     """Active-census bookkeeping for one audit replay."""
 
-    def __init__(self, N, K, delta, method="wor-kt", prior=None):
+    def __init__(self, N, K, delta, method="ppr", prior=None):
         if method not in METHODS:
             raise ValueError(f"unknown WoR method {method!r}; pick from {METHODS}")
         self.N = N
@@ -46,10 +42,6 @@ class AuditState:
         self.running_max = np.zeros(self.censuses.shape[0])
         self.drawn = np.zeros(K, dtype=np.int64)
         self.t = 0
-        # integer lookup tables shared by the vectorized kernels
-        self._lgfact = gammaln(np.arange(N + 2, dtype=float) + 1.0)
-        with np.errstate(divide="ignore"):
-            self._logint = np.log(np.arange(N + 2, dtype=float))
 
     def active_censuses(self):
         return self.censuses[self.active_idx]
@@ -58,27 +50,8 @@ class AuditState:
         return int(self.active_idx.size)
 
     def _log_wealth_active(self):
-        act = self.censuses[self.active_idx]
-        drawn = self.drawn
-        t = self.t
-        N = self.N
-        qv = q_kt(drawn.astype(float), self.prior)
-        rem = act - drawn[None, :]
-        infeasible = np.any(rem < 0, axis=1)
-        w = np.full(act.shape[0], qv)
-        if self.method == "wor-kt":
-            # exhausted-and-drawn categories diverge
-            infeasible |= np.any((rem == 0) & (drawn[None, :] >= 1), axis=1)
-            pos = np.flatnonzero(drawn >= 1)
-            if pos.size:
-                logrem = self._logint[np.clip(rem[:, pos], 1, None)]
-                w += t * math.log(N - t) - logrem @ drawn[pos].astype(float)
-        else:  # ppr / perround share the closed-form value
-            w += float(self._lgfact[N] - self._lgfact[N - t])
-            safe = np.clip(rem, 0, None)
-            w -= (self._lgfact[act] - self._lgfact[safe]).sum(axis=1)
-        w[infeasible] = math.inf
-        return w
+        return wor_log_wealth_many(self.drawn, self.active_censuses(), self.N,
+                                   self.method, self.prior)
 
     def absorb(self, category):
         """Record one draw of the given 0-based category; prune exclusions."""
@@ -116,7 +89,7 @@ def rank_decided(state):
     return True
 
 
-def stopping_time(draws, N, K, delta, method="wor-kt", prior=None):
+def stopping_time(draws, N, K, delta, method="ppr", prior=None):
     """First t at which the rank order is decided, replaying a draw stream.
 
     draws is a sequence of 0-based category labels; only the first N-1

@@ -71,9 +71,11 @@ def test_box_membership_equals_direct_wealth():
 
 
 def test_box_membership_with_realized_set():
+    # a grid-realized set cannot answer for an arbitrary point: the nearest
+    # candidate's flag is not the point's, so such a set is refused
     cands = simplex_candidate_grid(3, 30)
     cs = ConfidenceSet(cands, 0.05)
-    # nearest-candidate lookup on an untouched set keeps everything in
-    assert box_membership(np.array([0.4, 0.6]), cs)
+    with pytest.raises(TypeError):
+        box_membership(np.array([0.4, 0.6]), cs)
     with pytest.raises(TypeError):
         box_membership(np.array([0.4, 0.6]), "not a set")

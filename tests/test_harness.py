@@ -1,11 +1,16 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from simplexcs.baselines import coordinate_log_wealths_many
+from simplexcs.confset import simplex_candidate_grid
 from simplexcs.harness import (
     ExperimentConfig,
+    _make_runner,
+    _truth_covered_wor,
     apply_preset,
     emit,
     gen_categorical,
@@ -14,6 +19,8 @@ from simplexcs.harness import (
     run_experiment,
     trial_rng,
 )
+from simplexcs.wealth import DirichletPrior
+from simplexcs.wor import AuditState
 
 
 def _small_cfg(**kw):
@@ -176,3 +183,60 @@ def test_kt_and_up_agree_on_categorical_data():
     v_kt = [r["volume"] for r in res_kt["rows"]]
     v_up = [r["volume"] for r in res_up["rows"]]
     assert v_kt == v_up
+
+
+@pytest.mark.parametrize("method", ["ppr", "wor-kt"])
+def test_wor_coverage_flag_equals_audit_state_exhaustive(method):
+    # every label order of every census with K = 2, 3 and N <= 7: the
+    # harness's coverage flag says whether the true census is still in the
+    # audit engine's active set after N - 1 draws (none when N = 1)
+    outcomes = set()
+    for K in (2, 3):
+        prior = DirichletPrior.jeffreys(K)
+        for N in range(1, 8):
+            for labels in itertools.product(range(K), repeat=N):
+                census = np.bincount(labels, minlength=K)
+                for delta in (0.2, 0.5):
+                    state = AuditState(N, K, delta, method=method, prior=prior)
+                    for label in labels[:-1]:
+                        state.absorb(label)
+                    active = np.all(state.active_censuses() == census, axis=1)
+                    covered = _truth_covered_wor(np.array(labels), census, N,
+                                                 K, delta, method, prior)
+                    assert covered == bool(active.any()), (labels, delta)
+                    outcomes.add(covered)
+    if method == "ppr":
+        assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+@pytest.mark.parametrize("delta", [0.05, 0.1])
+def test_kt2_bonf_set_equals_coordinatewise_running_max(K, delta):
+    # oracle: a candidate stays in while every coordinate's running max of
+    # the KT(2) log wealth stays below ln(K / delta)
+    cands = simplex_candidate_grid(K, {2: 60, 3: 20, 4: 10}[K])
+    rng = trial_rng(29, 10 * K)
+    truth = rng.dirichlet(np.ones(K))
+    # one-hot draws, then probability vectors: fractional counts
+    data = np.vstack([gen_categorical(truth, 40, rng),
+                      gen_dirichlet(3.0 * truth + 0.2, 20, rng)])
+    runner = _make_runner("kt2-bonf", cands, truth, delta,
+                          DirichletPrior.jeffreys(K))
+    limit = math.log(K) - math.log(delta)
+    counts = np.zeros(K)
+    run_max = np.zeros(cands.shape)
+    truth_max = np.zeros(K)
+    excluded = False
+    for t, y in enumerate(data, start=1):
+        counts = counts + y
+        run_max = np.maximum(run_max, coordinate_log_wealths_many(counts, t, cands))
+        truth_max = np.maximum(
+            truth_max, coordinate_log_wealths_many(counts, t, truth[None, :])[0])
+        runner.step(y)
+        volume, covered, count = runner.metrics()
+        want = np.all(run_max < limit, axis=1)
+        assert np.array_equal(runner.cs.active, want), t
+        assert (volume, covered, count) == (
+            want.mean(), bool(np.all(truth_max < limit)), int(want.sum()))
+        excluded |= not want.all()
+    assert excluded

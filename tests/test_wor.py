@@ -93,19 +93,6 @@ def test_active_sets_nested_kt_inside_ppr():
         assert kt_act <= pp_act
 
 
-def test_perround_agrees_with_ppr_state():
-    rng = np.random.default_rng(19)
-    census = np.array([5, 4])
-    N = int(census.sum())
-    labels = gen_wor(census, rng)
-    a = AuditState(N, 2, 0.1, method="ppr")
-    b = AuditState(N, 2, 0.1, method="perround")
-    for t in range(1, N):
-        a.absorb(int(labels[t - 1]))
-        b.absorb(int(labels[t - 1]))
-        assert np.array_equal(a.active_idx, b.active_idx)
-
-
 def test_rank_decided_requires_disjoint_intervals():
     state = AuditState(4, 2, 0.05, method="ppr")
     assert not rank_decided(state)  # [0,4] vs [0,4]

@@ -8,6 +8,7 @@ confset (dump a realized confidence set as CSV).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -109,21 +110,27 @@ def _cmd_wor(args):
 def _wor_stream(census, args):
     """Line protocol: read one 1-based category per line, emit one JSON
     object per line with the updated audit state.  Once every census is
-    excluded, the last line has no bounds and the stream stops."""
-    N = sum(census)
+    excluded, the last line has no bounds and the stream stops.  A line that
+    is no category in 1..K, or a draw past N-1, exits 2 with a one-line error."""
     K = len(census)
     state = AuditState(
-        N, K, args.delta or 0.05,
+        sum(census), K, args.delta or 0.05,
         method=(args.method or "ppr"),
         prior=DirichletPrior(np.full(K, args.alpha if args.alpha is not None else 0.5)),
     )
-    src = open(args.obs) if args.obs else sys.stdin
-    try:
-        for line in src:
+    with open(args.obs) if args.obs else contextlib.nullcontext(sys.stdin) as src:
+        for lineno, line in enumerate(src, start=1):
             line = line.strip()
             if not line:
                 continue
-            state.absorb(int(line) - 1)
+            try:
+                label = int(line)
+                if not 1 <= label <= K:
+                    raise ValueError(f"category {label} is not in 1..{K}")
+                state.absorb(label - 1)
+            except ValueError as exc:
+                print(f"wor --stream: line {lineno}: {exc}", file=sys.stderr)
+                return 2
             empty = state.active_count() == 0
             print(json.dumps({
                 "t": state.t,
@@ -133,9 +140,6 @@ def _wor_stream(census, args):
             }))
             if empty:
                 break
-    finally:
-        if args.obs:
-            src.close()
     return 0
 
 

@@ -368,30 +368,33 @@ def ppr_log_wealth(drawn, census, prior=None):
 def wor_log_wealth_many(drawn, censuses, N, method, prior=None):
     """Vectorized WoR log-wealth of drawn counts against census hypotheses.
 
-    drawn is (K,) or (T, K) and censuses is (A, K) or (K,): the rows pair up
-    by broadcasting.  method "ppr" is ppr_log_wealth and "wor-kt" is
-    wor_kt_log_wealth at m = census / N.  A census below the drawn counts,
-    and under wor-kt a drawn category the census has exhausted, gives +inf.
-    Log-factorials and log-integers are looked up in tables over 0..N, so
-    no gammaln runs over the census rows.
+    drawn and censuses are category-leading, (K, ...), and pair up by
+    broadcasting over the trailing axes.  method "ppr" is ppr_log_wealth and
+    "wor-kt" is wor_kt_log_wealth at m = census / N.  A census below the
+    drawn counts, and under wor-kt a drawn category the census has
+    exhausted, gives +inf.  Log-factorials and log-integers come from tables
+    over 0..N; the per-category terms are added in category order.
     """
     drawn = np.asarray(drawn, dtype=np.int64)
     censuses = np.asarray(censuses, dtype=np.int64)
-    prior = _resolve_prior(prior, drawn.shape[-1])
-    t = drawn.sum(axis=-1)
-    a = drawn + prior.alpha
-    q = gammaln(a).sum(axis=-1) - gammaln(a.sum(axis=-1)) - prior.log_beta
-    rem = censuses - drawn
-    infeasible = np.any(rem < 0, axis=-1)
-    if method == "wor-kt":
-        infeasible |= np.any((rem == 0) & (drawn >= 1), axis=-1)
-        logint = np.log(np.maximum(np.arange(N + 1, dtype=float), 1.0))
-        w = q + (t * logint[N - t]
-                 - (drawn * logint[np.clip(rem, 1, None)]).sum(axis=-1))
-    elif method == "ppr":
+    K = drawn.shape[0]
+    prior = _resolve_prior(prior, K)
+    t = drawn.sum(axis=0)
+    a = drawn + prior.alpha.reshape((K,) + (1,) * (drawn.ndim - 1))
+    q = gammaln(a).sum(axis=0) - gammaln(a.sum(axis=0)) - prior.log_beta
+    infeasible, total = False, 0.0
+    if method == "ppr":
         lgfact = gammaln(np.arange(N + 1, dtype=float) + 1.0)
-        w = q + (lgfact[N] - lgfact[N - t]) - (
-            lgfact[censuses] - lgfact[np.clip(rem, 0, None)]).sum(axis=-1)
+        for c, d in zip(censuses, drawn, strict=True):
+            infeasible = infeasible | (c < d)
+            total = total + (lgfact[c] - lgfact[np.maximum(c - d, 0)])
+        w = q + (lgfact[N] - lgfact[N - t]) - total
+    elif method == "wor-kt":
+        logint = np.log(np.maximum(np.arange(N + 1, dtype=float), 1.0))
+        for c, d in zip(censuses, drawn, strict=True):
+            infeasible = infeasible | (c < d) | ((c == d) & (d >= 1))
+            total = total + d * logint[np.maximum(c - d, 1)]
+        w = q + (t * logint[N - t] - total)
     else:
         raise ValueError(f"unknown WoR method {method!r}")
     return np.where(infeasible, math.inf, w)

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy.special import gammaln
 
 from simplexcs.baselines import (
@@ -320,6 +321,7 @@ def test_criterion_4_audit_stopping_times_smoke():
     _verdict(f"audit smoke (N=100): mean stop ratio {ratio:.3f} < 1", ratio < 1.0)
 
 
+@pytest.mark.slow
 def test_criterion_4_audit_stopping_times_desk_scale():
     cfg = ExperimentConfig(
         preset="custom", census=(600, 250, 150), trials=100, delta=DELTA,
@@ -424,6 +426,7 @@ def test_criterion_7_up_trial_runtime_k4():
     _verdict(f"UP K=4 T=100 full trial in {wall:.1f}s < 10s", wall < 10.0)
 
 
+@pytest.mark.slow
 def test_criterion_7_up_trial_runtime_k5():
     cfg = ExperimentConfig(
         preset="custom", concentration=(2.0, 1.0, 0.7, 0.3, 0.5), horizon=100,

@@ -146,6 +146,27 @@ def test_wor_stream_stops_when_every_census_is_excluded(tmp_path, capsys):
                          "decided": False}
 
 
+@pytest.mark.parametrize("text, bad_line, reported, reason", [
+    ("1\n0\n", 2, 1, "category 0 is not in 1..2"),
+    ("1\n\n3\n", 3, 1, "category 3 is not in 1..2"),
+    ("2\nx\n", 2, 1, "invalid literal"),
+    ("1\n2\n1\n", 3, 2, "draw 3 is past N-1 = 2"),
+])
+def test_wor_stream_bad_line_exits_2(tmp_path, capsys, text, bad_line,
+                                     reported, reason):
+    # a bad label ends the stream with a one-line error naming its line,
+    # after the draws before it have been reported
+    p = tmp_path / "labels.txt"
+    p.write_text(text)
+    rc = main(["wor", "--census", "2,1", "--stream", "--obs", str(p),
+               "--delta", "0.2"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert len(out.strip().split("\n")) == reported
+    assert err.count("\n") == 1
+    assert f"line {bad_line}:" in err and reason in err
+
+
 def test_simulate_preset_fig2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"census": [6, 3, 1], "trials": 4, "seed": 2,

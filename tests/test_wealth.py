@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 import simplexcs.wealth
 from simplexcs.baselines import coordinate_log_wealths
@@ -24,6 +25,7 @@ from simplexcs.wealth import (
     ppr_log_wealth,
     q_kt,
     wor_kt_log_wealth,
+    wor_log_wealth_many,
     wor_mean_transform,
 )
 
@@ -448,6 +450,62 @@ def test_wor_kt_dominates_ppr_small_family():
                 if np.all(rem >= 1) and a > b + 1e-9:
                     strict = True
         assert strict
+
+
+def _row_form_wor_log_wealth(drawn, censuses, N, method, prior):
+    # the kernel as it was written over (..., K) rows: a row sum per census
+    a = drawn + prior.alpha
+    q = gammaln(a).sum(axis=-1) - gammaln(a.sum(axis=-1)) - prior.log_beta
+    t = drawn.sum(axis=-1)
+    rem = censuses - drawn
+    infeasible = np.any(rem < 0, axis=-1)
+    if method == "wor-kt":
+        infeasible |= np.any((rem == 0) & (drawn >= 1), axis=-1)
+        logint = np.log(np.maximum(np.arange(N + 1, dtype=float), 1.0))
+        w = q + (t * logint[N - t]
+                 - (drawn * logint[np.clip(rem, 1, None)]).sum(axis=-1))
+    else:
+        lgfact = gammaln(np.arange(N + 1, dtype=float) + 1.0)
+        w = q + (lgfact[N] - lgfact[N - t]) - (
+            lgfact[censuses] - lgfact[np.clip(rem, 0, None)]).sum(axis=-1)
+    return np.where(infeasible, math.inf, w)
+
+
+@pytest.mark.parametrize("method", ["ppr", "wor-kt"])
+def test_wor_log_wealth_many_equals_row_form(method):
+    # the category-leading kernel adds its terms in category order, which
+    # is numpy's row sum for K <= 7: bit-equal there, 1e-9 beyond.  Audit
+    # shape: one drawn vector against census columns; replay shape: running
+    # counts against one census.
+    rng = np.random.default_rng(29)
+    for K in range(2, 10):
+        prior = DirichletPrior(rng.uniform(0.2, 2.0, K))
+        census = rng.integers(0, 40, K)
+        census[0] += 2
+        N = int(census.sum())
+        labels = rng.permutation(np.repeat(np.arange(K), census))
+        counts = np.cumsum(np.eye(K, dtype=np.int64)[labels[: N - 1]], axis=0)
+        grid = enumerate_grid(K, N) if K <= 3 else np.array(
+            [rng.multinomial(N, p) for p in rng.dirichlet(np.ones(K), 2000)]
+            + [census])
+        drawn = counts[rng.integers(N // 3)]
+        pairs = (
+            (wor_log_wealth_many(drawn[:, None], grid.T, N, method, prior),
+             _row_form_wor_log_wealth(drawn, grid, N, method, prior)),
+            (wor_log_wealth_many(counts.T, census, N, method, prior),
+             _row_form_wor_log_wealth(counts, census, N, method, prior)),
+        )
+        assert np.isinf(pairs[0][1]).any()
+        for new, ref in pairs:
+            assert np.isfinite(ref).any()
+            if K <= 7:
+                assert np.array_equal(new, ref)
+            else:
+                assert np.array_equal(np.isinf(new), np.isinf(ref))
+                assert np.allclose(new, ref, rtol=0.0, atol=1e-9)
+    with pytest.raises(ValueError):  # K = 2 drawn against K = 3 censuses
+        wor_log_wealth_many(np.ones((2, 1), dtype=int), np.ones((3, 4), dtype=int),
+                            6, method)
 
 
 @st.composite

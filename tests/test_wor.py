@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from simplexcs.harness import gen_wor, trial_rng
-from simplexcs.wealth import ppr_log_wealth, wor_kt_log_wealth
+from simplexcs.simplex import enumerate_grid
+from simplexcs.wealth import ppr_log_wealth, wor_kt_log_wealth, wor_log_wealth_many
 from simplexcs.wor import (
     AuditState,
     category_count_bounds,
@@ -67,7 +68,7 @@ def test_state_wealth_matches_kernel_functions():
             act = state.active_censuses()
             if act.shape[0] == 0:
                 break
-            w = state._log_wealth_active()
+            w = wor_log_wealth_many(drawn[:, None], act.T, N, method)
             for i in rng.choice(act.shape[0], size=5):
                 ref = kernel(drawn, act[i].astype(float))
                 if math.isinf(ref):
@@ -143,7 +144,65 @@ def test_ppr_true_census_coverage():
 
 
 def test_empty_active_set_raises_diagnostic():
-    state = AuditState(4, 2, 0.05, method="ppr")
-    state.active_idx = state.active_idx[:0]
+    # at delta = 0.6 the PPR set of N = 6, K = 2 is empty after the draws
+    # 1, 1, 0, 0, 0; no bound or decision can be read off it
+    state = AuditState(6, 2, 0.6)
+    for label in (1, 1, 0, 0):
+        state.absorb(label)
+        assert state.active_count() > 0
+    state.absorb(0)
+    assert state.active_count() == 0
     with pytest.raises(RuntimeError):
         category_count_bounds(state)
+    with pytest.raises(RuntimeError):
+        rank_decided(state)
+
+
+def _scalar_kernel(method, N):
+    if method == "ppr":
+        return lambda drawn, census: ppr_log_wealth(drawn, census)
+    return lambda drawn, census: wor_kt_log_wealth(drawn, census / N, N)
+
+
+@pytest.mark.parametrize("method", ["ppr", "wor-kt"])
+def test_audit_state_equals_running_max_oracle_exhaustive(method):
+    # every label order of every census with K = 2, N <= 9 and K = 3,
+    # N <= 6: after each draw the engine's active censuses (in enumeration
+    # order), bounds and decision equal those of a running max of the
+    # scalar kernel over all of G(K, N).  The scalar and the vectorized
+    # kernel sum in different orders, so the deltas are ones where no
+    # wealth of this family lies within rounding of ln(1/delta).
+    threshold = {delta: -math.log(delta) for delta in (0.1, 0.2)}
+    seen = set()
+    for K, n_max in ((2, 9), (3, 6)):
+        for N in range(2, n_max + 1):
+            grid = enumerate_grid(K, N)
+            kernel = _scalar_kernel(method, N)
+            for labels in itertools.product(range(K), repeat=N - 1):
+                drawn = np.zeros(K, dtype=np.int64)
+                wealth = []
+                for label in labels:
+                    drawn[label] += 1
+                    wealth.append([kernel(drawn, c) for c in grid])
+                running_max = np.maximum.accumulate(np.array(wealth), axis=0)
+                for delta, thr in threshold.items():
+                    assert np.all(np.abs(running_max - thr) > 1e-9)
+                    state = AuditState(N, K, delta, method=method)
+                    for t, label in enumerate(labels):
+                        state.absorb(label)
+                        act = grid[running_max[t] < thr]
+                        assert np.array_equal(state.active_censuses(), act)
+                        finite = np.isfinite(running_max[t])
+                        seen.add(("wealth excludes",
+                                  bool(np.any(running_max[t][finite] >= thr))))
+                        if act.shape[0] == 0:
+                            break
+                        lo, hi = act.min(axis=0), act.max(axis=0)
+                        assert np.array_equal(category_count_bounds(state),
+                                              np.stack([lo, hi], axis=1))
+                        disjoint = all(hi[a] < lo[b] or hi[b] < lo[a]
+                                       for a, b in itertools.combinations(range(K), 2))
+                        assert rank_decided(state) == disjoint
+                        seen.add(("decided", disjoint))
+    assert seen == {("wealth excludes", False), ("wealth excludes", True),
+                    ("decided", False), ("decided", True)}

@@ -12,6 +12,7 @@ import math
 import numpy as np
 from scipy.special import betaincinv, gammaln
 
+from .confset import log_threshold
 # log_binomial_tail is not called here: it stays importable from this module
 # as the binomial-tail oracle for the Clopper-Pearson endpoints
 from .numerics import kl_divergence, log_binomial_tail, logsumexp  # noqa: F401
@@ -22,11 +23,14 @@ __all__ = [
     "coordinate_log_wealths",
     "coordinate_log_wealths_many",
     "bonferroni_membership",
+    "mixture_log_wealth",
     "mixture_membership",
     "sanov_radius",
+    "sanov_set",
     "sanov_membership",
     "mardia_gate",
     "mardia_radius",
+    "mardia_set",
     "mardia_membership",
     "clopper_pearson_interval",
 ]
@@ -61,19 +65,20 @@ def coordinate_log_wealths(counts, m, prior=None):
 
 
 def bonferroni_membership(coord_log_wealths, delta):
-    """In iff every coordinate log-wealth < ln(K/delta)."""
+    """In iff every coordinate log-wealth < ln(1/(delta/K))."""
     w = np.asarray(coord_log_wealths, dtype=float)
-    K = w.size
-    return bool(np.all(w < math.log(K) - math.log(delta)))
+    return bool(np.all(w < log_threshold(delta / w.size)))
+
+
+def mixture_log_wealth(coord_log_wealths):
+    """Log of the mean of the K coordinate wealths, over the last axis."""
+    w = np.asarray(coord_log_wealths, dtype=float)
+    return logsumexp(w, axis=-1) - math.log(w.shape[-1])
 
 
 def mixture_membership(coord_log_wealths, delta):
     """In iff the averaged wealth (1/K) sum_j W_j stays strictly below 1/delta."""
-    w = np.asarray(coord_log_wealths, dtype=float)
-    K = w.size
-    if np.any(np.isinf(w) & (w > 0)):
-        return False
-    return bool(logsumexp(w) - math.log(K) < -math.log(delta))
+    return bool(mixture_log_wealth(coord_log_wealths) < log_threshold(delta))
 
 
 def sanov_radius(t, K, delta):
@@ -83,10 +88,16 @@ def sanov_radius(t, K, delta):
     return -math.log(delta) / t + K / t * math.log(t + 1.0)
 
 
+def sanov_set(mu_hat, t, cands, delta):
+    """Mask of the rows of the (A, K) block cands in the Sanov KL ball
+    around mu_hat."""
+    return kl_divergence(mu_hat, cands) < sanov_radius(t, cands.shape[1], delta)
+
+
 def sanov_membership(mu_hat, m, t, delta):
     mu_hat = validate_prob_vector(mu_hat)
     m = validate_prob_vector(m)
-    return kl_divergence(mu_hat, m) < sanov_radius(t, mu_hat.size, delta)
+    return bool(sanov_set(mu_hat, t, m[None, :], delta)[0])
 
 
 def mardia_gate(K):
@@ -99,14 +110,23 @@ def mardia_radius(t, K, delta):
     return (K - 1) / t * math.log(2.0 * (K - 1) / delta)
 
 
+def mardia_set(mu_hat, t, cands, delta):
+    """Mask of the rows of the (A, K) block cands in the Mardia KL ball
+    around mu_hat.  Below the applicability gate the method makes no claim,
+    and the mask is the whole block."""
+    K = cands.shape[1]
+    if t < mardia_gate(K):
+        return np.ones(cands.shape[0], dtype=bool)
+    return kl_divergence(mu_hat, cands) < mardia_radius(t, K, delta)
+
+
 def mardia_membership(mu_hat, m, t, delta):
     """Membership test, or None when t is below the applicability gate."""
     mu_hat = validate_prob_vector(mu_hat)
     m = validate_prob_vector(m)
-    K = mu_hat.size
-    if t < mardia_gate(K):
+    if t < mardia_gate(mu_hat.size):
         return None
-    return kl_divergence(mu_hat, m) < mardia_radius(t, K, delta)
+    return bool(mardia_set(mu_hat, t, m[None, :], delta)[0])
 
 
 def clopper_pearson_interval(k, n, delta_prime):

@@ -16,7 +16,8 @@ import numpy as np
 
 from .boxreduce import embed
 from .confset import simplex_candidate_grid
-from .harness import DEFAULT_GRID, ExperimentConfig, emit, run_experiment, running_set
+from .harness import DEFAULT_GRID, ExperimentConfig, apply_preset, emit
+from .harness import run_experiment, running_set
 from .wealth import (
     DirichletPrior,
     UPState,
@@ -74,12 +75,18 @@ def _cmd_simulate(args):
     ):
         if val is not None:
             setattr(cfg, name, val)
-    return _run(cfg, args.out, args.svg)
+    return _run("simulate", cfg, args.out, args.svg)
 
 
-def _run(cfg, out=None, svg=None):
+def _run(cmd, cfg, out=None, svg=None):
     """Run an experiment, write its artifacts and print its summary line:
-    the audit summary, or each method's final mean volume."""
+    the audit summary, or each method's final mean volume.  A config that
+    apply_preset rejects exits 2 with a one-line error."""
+    try:
+        cfg = apply_preset(cfg)
+    except ValueError as exc:
+        print(f"{cmd}: {exc}", file=sys.stderr)
+        return 2
     result = run_experiment(cfg)
     if out:
         emit(result, "csv", out)
@@ -104,20 +111,25 @@ def _cmd_wor(args):
         methods=tuple(args.method.split(",")) if args.method else (),
         alpha=args.alpha if args.alpha is not None else 0.5,
     )
-    return _run(cfg, args.out)
+    return _run("wor", cfg, args.out)
 
 
 def _wor_stream(census, args):
     """Line protocol: read one 1-based category per line, emit one JSON
     object per line with the updated audit state.  Once every census is
     excluded, the last line has no bounds and the stream stops.  A line that
-    is no category in 1..K, or a draw past N-1, exits 2 with a one-line error."""
+    is no category in 1..K, or a draw past N-1, exits 2 with a one-line error,
+    as does an audit that AuditState rejects."""
     K = len(census)
-    state = AuditState(
-        sum(census), K, args.delta or 0.05,
-        method=(args.method or "ppr"),
-        prior=DirichletPrior(np.full(K, args.alpha if args.alpha is not None else 0.5)),
-    )
+    try:
+        state = AuditState(
+            sum(census), K, args.delta or 0.05,
+            method=(args.method or "ppr"),
+            prior=DirichletPrior(np.full(K, args.alpha if args.alpha is not None else 0.5)),
+        )
+    except ValueError as exc:
+        print(f"wor --stream: {exc}", file=sys.stderr)
+        return 2
     with open(args.obs) if args.obs else contextlib.nullcontext(sys.stdin) as src:
         for lineno, line in enumerate(src, start=1):
             line = line.strip()

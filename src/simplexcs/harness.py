@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -13,12 +12,11 @@ import numpy as np
 from .baselines import (
     clopper_pearson_interval,
     coordinate_log_wealths_many,
-    mardia_gate,
-    mardia_radius,
-    sanov_radius,
+    mardia_set,
+    mixture_log_wealth,
+    sanov_set,
 )
 from .confset import ConfidenceSet, log_threshold, simplex_candidate_grid
-from .numerics import kl_divergence, logsumexp
 from .simplex import validate_count_vector, validate_prob_vector
 from .wealth import (
     DirichletPrior,
@@ -26,11 +24,11 @@ from .wealth import (
     kt_log_wealth_many,
     wor_log_wealth_many,
 )
+from . import wor
 # rank_decided stays a name here: perfbench/tracing.py patches it
 from .wor import AuditState, rank_decided  # noqa: F401
 
 SIMULATE_METHODS = ("kt", "up", "kt2-mix", "kt2-bonf", "sanov", "mardia", "cp-bonf")
-NON_TIME_UNIFORM = {"sanov", "mardia", "cp-bonf"}
 
 DEFAULT_GRID = {2: 100, 3: 100, 4: 40, 5: 20}
 _DEFAULT_MU = {
@@ -131,6 +129,10 @@ def apply_preset(cfg):
             cfg.mu = _DEFAULT_MU[cfg.k]
     if cfg.grid_resolution is None:
         cfg.grid_resolution = DEFAULT_GRID.get(cfg.k, 20)
+    valid = wor.METHODS if cfg.census is not None else SIMULATE_METHODS
+    unknown = [m for m in cfg.methods if m not in valid]
+    if unknown:
+        raise ValueError(f"unknown method {unknown[0]!r}; pick from {valid}")
     if not (0.0 < cfg.delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     if cfg.trials < 1:
@@ -201,18 +203,14 @@ class _Counts:
         return self.kernel(self.counts, self.t, cands)
 
 
-_KT2_PRIOR = DirichletPrior.jeffreys(2)
-
-
 def _kt2_mix(counts, t, cands):
     """Log of the mean of the K coordinatewise KT(2) wealths."""
-    w = coordinate_log_wealths_many(counts, t, cands, _KT2_PRIOR)
-    return logsumexp(w, axis=1) - math.log(cands.shape[1])
+    return mixture_log_wealth(coordinate_log_wealths_many(counts, t, cands))
 
 
 def _kt2_max(counts, t, cands):
     """The largest coordinatewise KT(2) log wealth."""
-    return coordinate_log_wealths_many(counts, t, cands, _KT2_PRIOR).max(axis=1)
+    return coordinate_log_wealths_many(counts, t, cands).max(axis=1)
 
 
 # running-max methods: name -> wealth state for (K, prior); the kernels are
@@ -262,83 +260,48 @@ class SetRunner:
         )
 
 
-class _FreshSetRunner:
-    """Base for the non-time-uniform baselines: sets are rebuilt each step."""
+def _cp_bonf_set(counts, t, cands, delta):
+    """Product of coordinate Clopper-Pearson intervals at delta / K."""
+    lo, hi = clopper_pearson_interval(
+        np.rint(counts).astype(np.int64), t, delta / cands.shape[1])
+    return np.all((cands >= lo) & (cands <= hi), axis=1)
 
-    def __init__(self, candidates, truth, delta):
-        self.cands = candidates
-        self.truth = truth
+
+# non-time-uniform methods: name -> the mask of an (A, K) candidate block in
+# the set built afresh from (counts, t) at level delta
+_FRESH_SETS = {
+    "sanov": lambda counts, t, cands, delta: sanov_set(counts / t, t, cands, delta),
+    "mardia": lambda counts, t, cands, delta: mardia_set(counts / t, t, cands, delta),
+    "cp-bonf": _cp_bonf_set,
+}
+
+
+class FreshRunner:
+    """A set rebuilt from the running counts each step; the truth is the last
+    row of the candidate block, so it is tested by the same call."""
+
+    def __init__(self, method, candidates, truth, delta):
+        self.fresh_set = _FRESH_SETS[method]
+        self.block = np.vstack([candidates, truth[None, :]])
         self.delta = delta
         self.counts = np.zeros(candidates.shape[1])
         self.t = 0
-        self._volume = 1.0
-        self._covered = True
-        self._count = candidates.shape[0]
+        self.mask = np.ones(self.block.shape[0], dtype=bool)
 
     def step(self, y):
         self.counts = self.counts + y
         self.t += 1
-        mask, covered = self._evaluate()
-        self._volume = float(mask.mean())
-        self._covered = bool(covered)
-        self._count = int(mask.sum())
+        self.mask = self.fresh_set(self.counts, self.t, self.block, self.delta)
 
     def metrics(self):
-        return self._volume, self._covered, self._count
-
-    def _kl_to_candidates(self):
-        mu_hat = self.counts / self.t
-        pos = mu_hat > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logc = np.log(self.cands[:, pos])
-        kl = np.sum(
-            mu_hat[pos][None, :] * (np.log(mu_hat[pos])[None, :] - logc), axis=1
-        )
-        return np.nan_to_num(kl, nan=np.inf, posinf=np.inf)
-
-    def _kl_to_truth(self):
-        return kl_divergence(self.counts / self.t, self.truth)
-
-
-class SanovRunner(_FreshSetRunner):
-    def _evaluate(self):
-        r = sanov_radius(self.t, self.cands.shape[1], self.delta)
-        return self._kl_to_candidates() < r, self._kl_to_truth() < r
-
-
-class MardiaRunner(_FreshSetRunner):
-    def _evaluate(self):
-        K = self.cands.shape[1]
-        if self.t < mardia_gate(K):
-            # below the applicability gate the method makes no claim:
-            # report the vacuous full-simplex set
-            return np.ones(self.cands.shape[0], dtype=bool), True
-        r = mardia_radius(self.t, K, self.delta)
-        return self._kl_to_candidates() < r, self._kl_to_truth() < r
-
-
-class CPBonfRunner(_FreshSetRunner):
-    """Product of coordinate Clopper-Pearson intervals at delta/K."""
-
-    def _evaluate(self):
-        K = self.cands.shape[1]
-        lo, hi = clopper_pearson_interval(
-            np.rint(self.counts).astype(np.int64), self.t, self.delta / K
-        )
-        mask = np.all((self.cands >= lo[None, :]) & (self.cands <= hi[None, :]), axis=1)
-        covered = bool(np.all((self.truth >= lo) & (self.truth <= hi)))
-        return mask, covered
-
-
-_FRESH_RUNNERS = {"sanov": SanovRunner, "mardia": MardiaRunner, "cp-bonf": CPBonfRunner}
+        inside = self.mask[:-1]
+        return float(inside.mean()), bool(self.mask[-1]), int(inside.sum())
 
 
 def _make_runner(method, candidates, truth, delta, prior):
-    if method in _SET_STATES:
-        return SetRunner(method, candidates, truth, delta, prior)
-    if method in _FRESH_RUNNERS:
-        return _FRESH_RUNNERS[method](candidates, truth, delta)
-    raise ValueError(f"unknown method {method!r}; pick from {SIMULATE_METHODS}")
+    if method in _FRESH_SETS:
+        return FreshRunner(method, candidates, truth, delta)
+    return SetRunner(method, candidates, truth, delta, prior)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +353,7 @@ def _row(method, trial, t, volume, covered, active_count, stop_t=None):
         "covered": bool(covered),
         "active_count": active_count,
         "stop_t": stop_t,
-        "time_uniform": method not in NON_TIME_UNIFORM,
+        "time_uniform": method not in _FRESH_SETS,
     }
 
 
@@ -451,7 +414,7 @@ def _summarize_simulate(rows):
             # time-uniform coverage: trial flag never dropped up to t
             "time_uniform_coverage": _trial_mean(
                 np.logical_and.accumulate(covered, axis=1)),
-            "time_uniform": m not in NON_TIME_UNIFORM,
+            "time_uniform": m not in _FRESH_SETS,
         }
     return summary
 

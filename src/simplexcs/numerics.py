@@ -35,17 +35,18 @@ def log_multi_beta(a):
 def kl_divergence(p, q):
     """KL divergence D(p || q) in nats, with the 0 log 0 = 0 convention.
 
-    Returns +inf when p puts mass where q does not.
+    q is one vector, giving a float, or an (A, K) block of them, giving the
+    (A,) divergences of its rows.  +inf where p puts mass where q does not.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
+    if p.ndim != 1 or q.ndim > 2 or q.shape[-1:] != p.shape:
         raise ValueError("kl_divergence: dimension mismatch")
     mask = p > 0.0
-    if np.any(q[mask] == 0.0):
-        return math.inf
     pm = p[mask]
-    return float(np.sum(pm * (np.log(pm) - np.log(q[mask]))))
+    with np.errstate(divide="ignore"):
+        kl = np.sum(pm * (np.log(pm) - np.log(q[..., mask])), axis=-1)
+    return float(kl) if q.ndim == 1 else kl
 
 
 def shannon_entropy(p):

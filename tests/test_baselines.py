@@ -11,10 +11,13 @@ from simplexcs.baselines import (
     mardia_gate,
     mardia_membership,
     mardia_radius,
+    mardia_set,
     mixture_membership,
     sanov_membership,
     sanov_radius,
 )
+from simplexcs.confset import simplex_candidate_grid
+from simplexcs.harness import running_set
 from simplexcs.numerics import log_binomial_tail
 from simplexcs.wealth import DirichletPrior, kt_log_wealth
 
@@ -53,6 +56,17 @@ def test_bonferroni_membership():
     # K=2, delta=0.05: per-coordinate threshold K/delta = 40 in wealth scale
     assert not bonferroni_membership(np.log([50.0, 2.0]), 0.05)
     assert bonferroni_membership(np.log([39.0, 39.0]), 0.05)
+
+
+def test_bonferroni_level_equals_kt2_bonf_set():
+    # the kt2-bonf set's threshold is -ln(delta / K); at delta 0.1, K = 3 it
+    # is one ulp above ln 3 - ln 0.1, so a coordinate wealth of exactly
+    # ln 3 - ln 0.1 is in both
+    _, cs = running_set("kt2-bonf", simplex_candidate_grid(3, 4), 0.1,
+                        DirichletPrior.jeffreys(3))
+    w = np.array([math.log(3.0) - math.log(0.1), 0.0, 0.0])
+    assert w[0] < cs.threshold
+    assert bonferroni_membership(w, 0.1)
 
 
 def test_mixture_membership():
@@ -106,6 +120,11 @@ def test_mardia_membership_gate():
     mu_hat = np.array([0.5, 0.3, 0.2])
     assert mardia_membership(mu_hat, mu_hat, 10, 0.05) is None
     assert mardia_membership(mu_hat, mu_hat, 34, 0.05) is True
+    # the block form: the whole block below the gate, a KL ball past it
+    cands = simplex_candidate_grid(3, 10)
+    assert mardia_set(mu_hat, 33, cands, 0.05).all()
+    inside = mardia_set(mu_hat, 34, cands, 0.05)
+    assert inside.any() and not inside.all()
 
 
 def test_kt_tighter_than_sanov_balanced():

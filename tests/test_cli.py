@@ -167,6 +167,26 @@ def test_wor_stream_bad_line_exits_2(tmp_path, capsys, text, bad_line,
     assert f"line {bad_line}:" in err and reason in err
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["simulate", "--t", "5", "--methods", "kt,nope"],
+     "simulate: unknown method 'nope'"),
+    (["simulate", "--methods", "ppr"], "simulate: unknown method 'ppr'"),
+    (["simulate", "--delta", "1.5"], "simulate: delta must lie in (0, 1)"),
+    (["wor", "--census", "6,3,1", "--method", "nope"],
+     "wor: unknown method 'nope'"),
+    (["wor", "--census", "6,3,1", "--method", "kt"], "wor: unknown method 'kt'"),
+    (["wor", "--census", "6,3,1", "--stream", "--obs", "unread",
+      "--method", "nope"], "wor --stream: unknown WoR method 'nope'"),
+])
+def test_rejected_config_exits_2(argv, error, capsys):
+    # a method name of the wrong kind, or a bad level, ends the command with
+    # a one-line error before any trial runs or any label is read
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(error)
+
+
 def test_simulate_preset_fig2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"census": [6, 3, 1], "trials": 4, "seed": 2,

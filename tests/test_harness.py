@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from simplexcs.baselines import coordinate_log_wealths_many
+from simplexcs.baselines import (
+    clopper_pearson_interval,
+    coordinate_log_wealths_many,
+    mardia_gate,
+    mardia_radius,
+    sanov_radius,
+)
 from simplexcs.confset import simplex_candidate_grid
 from simplexcs.harness import (
     ExperimentConfig,
@@ -240,3 +246,62 @@ def test_kt2_bonf_set_equals_coordinatewise_running_max(K, delta):
             want.mean(), bool(np.all(truth_max < limit)), int(want.sum()))
         excluded |= not want.all()
     assert excluded
+
+
+def _plain_kl(p, q):
+    total = 0.0
+    for pj, qj in zip(p, q):
+        if pj > 0.0:
+            if qj == 0.0:
+                return math.inf
+            total += pj * (math.log(pj) - math.log(qj))
+    return total
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_fresh_sets_equal_plain_oracle(K):
+    # oracle: at each step the Sanov and Mardia sets are the candidates whose
+    # plain-Python KL from the empirical mean is below the radius (Mardia:
+    # the whole simplex below its gate), and cp-bonf's is the box of
+    # coordinate Clopper-Pearson intervals at delta / K
+    delta = 0.1
+    cands = simplex_candidate_grid(K, {2: 60, 3: 20, 4: 10}[K])
+    rng = trial_rng(31, 10 * K)
+    truth = rng.dirichlet(np.ones(K))
+    # one-hot draws, then probability vectors: fractional counts; the
+    # horizon passes the Mardia gate (t >= 34 at K = 3, t >= 81 at K = 4)
+    data = np.vstack([gen_categorical(truth, 50, rng),
+                      gen_dirichlet(3.0 * truth + 0.2, 50, rng)])
+    assert len(data) >= mardia_gate(K)
+    prior = DirichletPrior.jeffreys(K)
+    runners = {m: _make_runner(m, cands, truth, delta, prior)
+               for m in ("sanov", "mardia", "cp-bonf")}
+    counts = np.zeros(K)
+    excluded = set()
+    for t, y in enumerate(data, start=1):
+        counts = counts + y
+        mu_hat = counts / t
+        kl = [_plain_kl(mu_hat, m) for m in cands]
+        kl_truth = _plain_kl(mu_hat, truth)
+        lo, hi = clopper_pearson_interval(np.rint(counts).astype(np.int64), t,
+                                          delta / K)
+
+        def in_box(m):
+            return all(lo[j] <= m[j] <= hi[j] for j in range(K))
+
+        radius = {"sanov": sanov_radius(t, K, delta)}
+        if t >= mardia_gate(K):
+            radius["mardia"] = mardia_radius(t, K, delta)
+        want = {"mardia": ([True] * len(cands), True),
+                "cp-bonf": ([in_box(m) for m in cands], in_box(truth))}
+        for m, r in radius.items():
+            # no candidate lies so near a radius that rounding could decide it
+            assert all(abs(d - r) > 1e-9 for d in kl + [kl_truth]), (m, t)
+            want[m] = ([d < r for d in kl], kl_truth < r)
+        for m, runner in runners.items():
+            runner.step(y)
+            mask, covered = want[m]
+            assert runner.metrics() == (np.mean(mask), covered, sum(mask)), (m, t)
+            if not all(mask):
+                excluded.add(m)
+    assert excluded == set(runners)

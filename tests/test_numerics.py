@@ -47,6 +47,28 @@ def test_kl_divergence_infinite_when_support_escapes():
 def test_kl_divergence_dimension_mismatch():
     with pytest.raises(ValueError):
         kl_divergence(np.array([1.0]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError):
+        kl_divergence(np.array([0.5, 0.5]), np.full((4, 3), 1.0 / 3.0))
+    with pytest.raises(ValueError):
+        kl_divergence(np.array([0.5, 0.5]), np.full((2, 4, 2), 0.5))
+
+
+def test_kl_divergence_block_equals_rows():
+    # an (A, K) block gives the scalar divergence of each row; a row that is
+    # zero where p has mass gives +inf
+    rng = np.random.default_rng(11)
+    for K in (2, 3, 5):
+        p = rng.dirichlet(np.ones(K))
+        p[0] = 0.0
+        p /= p.sum()
+        q = rng.dirichlet(np.ones(K), size=6)
+        q[1, 0] = 0.0
+        q[2, -1] = 0.0
+        kl = kl_divergence(p, q)
+        assert kl.shape == (6,)
+        assert kl[1] < math.inf and kl[2] == math.inf
+        for a in range(6):
+            assert kl[a] == kl_divergence(p, q[a])
 
 
 def test_kl_nonnegative_random():

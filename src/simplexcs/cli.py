@@ -16,7 +16,7 @@ import numpy as np
 
 from .boxreduce import embed
 from .confset import simplex_candidate_grid
-from .harness import DEFAULT_GRID, ExperimentConfig, apply_preset, emit
+from .harness import DEFAULT_GRID, ExperimentConfig, apply_preset, check_census, emit
 from .harness import run_experiment, running_set
 from .wealth import (
     DirichletPrior,
@@ -119,11 +119,11 @@ def _wor_stream(census, args):
     object per line with the updated audit state.  Once every census is
     excluded, the last line has no bounds and the stream stops.  A line that
     is no category in 1..K, or a draw past N-1, exits 2 with a one-line error,
-    as does an audit that AuditState rejects."""
+    as does a census or an audit that AuditState rejects."""
     K = len(census)
     try:
         state = AuditState(
-            sum(census), K, args.delta or 0.05,
+            sum(check_census(census)), K, args.delta or 0.05,
             method=(args.method or "ppr"),
             prior=DirichletPrior(np.full(K, args.alpha if args.alpha is not None else 0.5)),
         )

@@ -87,6 +87,19 @@ class ExperimentConfig:
         return d
 
 
+def check_census(census):
+    """The census as a tuple of ints; ValueError unless it has 2 or more
+    nonnegative integer counts with a positive total."""
+    try:
+        counts, N = validate_count_vector(census)
+    except (TypeError, ValueError):
+        N = 0
+    if N < 1 or len(census) < 2:
+        raise ValueError(f"census {tuple(census)} needs 2 or more nonnegative "
+                         "integer counts with a positive total")
+    return tuple(int(c) for c in counts)
+
+
 def apply_preset(cfg):
     """Fill preset defaults; returns a new resolved config."""
     cfg = dataclasses.replace(cfg)
@@ -112,16 +125,25 @@ def apply_preset(cfg):
     elif cfg.preset != "custom":
         raise ValueError(f"unknown preset {cfg.preset!r}")
     if cfg.census is not None:
-        cfg.census = tuple(int(c) for c in cfg.census)
+        cfg.census = check_census(cfg.census)
         cfg.k = len(cfg.census)
         cfg.methods = tuple(cfg.methods) or ("wor-kt", "ppr")
     else:
         if cfg.mu is not None:
             cfg.mu = tuple(float(x) for x in cfg.mu)
             cfg.k = len(cfg.mu)
+            try:
+                validate_prob_vector(cfg.mu)
+            except ValueError:
+                raise ValueError(f"mu {cfg.mu} is not a probability vector "
+                                 "of 2 or more entries") from None
         if cfg.concentration is not None:
             cfg.concentration = tuple(float(x) for x in cfg.concentration)
             cfg.k = len(cfg.concentration)
+            if cfg.k < 2 or not (np.all(np.isfinite(cfg.concentration))
+                                 and min(cfg.concentration) > 0.0):
+                raise ValueError(f"concentration {cfg.concentration} needs 2 "
+                                 "or more positive entries")
         cfg.methods = tuple(cfg.methods) or ("kt",)
         if cfg.mu is None and cfg.concentration is None:
             if cfg.k not in _DEFAULT_MU:
@@ -275,6 +297,10 @@ _FRESH_SETS = {
     "cp-bonf": _cp_bonf_set,
 }
 
+# methods whose rows are not a confidence sequence: the fresh sets, and the
+# final plug-in WoR kernel, which excludes the true census
+_NOT_TIME_UNIFORM = frozenset(_FRESH_SETS) | {"wor-kt"}
+
 
 class FreshRunner:
     """A set rebuilt from the running counts each step; the truth is the last
@@ -353,7 +379,7 @@ def _row(method, trial, t, volume, covered, active_count, stop_t=None):
         "covered": bool(covered),
         "active_count": active_count,
         "stop_t": stop_t,
-        "time_uniform": method not in _FRESH_SETS,
+        "time_uniform": method not in _NOT_TIME_UNIFORM,
     }
 
 
@@ -414,7 +440,7 @@ def _summarize_simulate(rows):
             # time-uniform coverage: trial flag never dropped up to t
             "time_uniform_coverage": _trial_mean(
                 np.logical_and.accumulate(covered, axis=1)),
-            "time_uniform": m not in _FRESH_SETS,
+            "time_uniform": m not in _NOT_TIME_UNIFORM,
         }
     return summary
 

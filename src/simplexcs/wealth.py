@@ -347,54 +347,72 @@ def perround_wor_log_wealth(draws, m, N, prior=None):
 
 
 def ppr_log_wealth(drawn, census, prior=None):
-    """Log posterior-prior-ratio wealth at an integer census hypothesis."""
+    """Log posterior-prior-ratio wealth at an integer census hypothesis:
+    one row of wor_log_wealth_many, in the audit engine's shape."""
     drawn, t = validate_count_vector(drawn)
     census, N = validate_count_vector(census)
     if drawn.shape != census.shape:
         raise ValueError("ppr_log_wealth: dimension mismatch")
     if t > N - 1:
         raise ValueError("ppr_log_wealth requires sum(drawn) <= N - 1")
-    if np.any(census < drawn):
-        return math.inf
-    val = q_kt(drawn, prior)
-    log_multinom_full = float(gammaln(N + 1.0) - np.sum(gammaln(census + 1.0)))
-    remaining = census - drawn
-    log_multinom_rem = float(
-        gammaln(N - t + 1.0) - np.sum(gammaln(remaining + 1.0))
-    )
-    return val + log_multinom_full - log_multinom_rem
+    return float(wor_log_wealth_many(drawn[:, None], census[:, None], N, "ppr",
+                                     prior)[0])
+
+
+def _wor_table(N, method):
+    """The table over 0..N that the WoR kernel reads: log v! for "ppr",
+    log max(v, 1) for "wor-kt"."""
+    if method == "ppr":
+        return gammaln(np.arange(N + 1, dtype=float) + 1.0)
+    if method == "wor-kt":
+        return np.log(np.maximum(np.arange(N + 1, dtype=float), 1.0))
+    raise ValueError(f"unknown WoR method {method!r}")
+
+
+def _wor_term(table, c, d, method):
+    """One category's term of the WoR log-wealth, census counts c against
+    drawn count d (elementwise); -inf where c cannot have produced d, or
+    under wor-kt where a drawn category is exhausted."""
+    if method == "ppr":
+        term = table[c] - table[np.maximum(c - d, 0)]
+        infeasible = c < d
+    else:
+        term = d * table[np.maximum(c - d, 1)]
+        infeasible = (c < d) | ((c == d) & (d >= 1))
+    return np.where(infeasible, -math.inf, term)
+
+
+def _wor_finish(table, drawn, N, method, prior):
+    """The map from the summed terms to the log-wealth at these drawn
+    counts ((K, ...), category-leading); a sum of -inf gives +inf."""
+    K = drawn.shape[0]
+    prior = _resolve_prior(prior, K)
+    t = drawn.sum(axis=0)
+    a = drawn + prior.alpha.reshape((K,) + (1,) * (drawn.ndim - 1))
+    q = gammaln(a).sum(axis=0) - gammaln(a.sum(axis=0)) - prior.log_beta
+    if method == "ppr":
+        head = q + (table[N] - table[N - t])
+        return lambda total: head - total
+    tail = t * table[N - t]
+    return lambda total: q + (tail - total)
 
 
 def wor_log_wealth_many(drawn, censuses, N, method, prior=None):
     """Vectorized WoR log-wealth of drawn counts against census hypotheses.
 
     drawn and censuses are category-leading, (K, ...), and pair up by
-    broadcasting over the trailing axes.  method "ppr" is ppr_log_wealth and
-    "wor-kt" is wor_kt_log_wealth at m = census / N.  A census below the
-    drawn counts, and under wor-kt a drawn category the census has
-    exhausted, gives +inf.  Log-factorials and log-integers come from tables
-    over 0..N; the per-category terms are added in category order.
+    broadcasting over the trailing axes.  method "ppr" is the
+    posterior-prior ratio and "wor-kt" is wor_kt_log_wealth at
+    m = census / N.  A census below the drawn counts, and under wor-kt a
+    drawn category the census has exhausted, gives +inf.  Log-factorials
+    and log-integers come from tables over 0..N; the per-category terms
+    (_wor_term, which the audit engine also reads) are added in category
+    order.
     """
     drawn = np.asarray(drawn, dtype=np.int64)
     censuses = np.asarray(censuses, dtype=np.int64)
-    K = drawn.shape[0]
-    prior = _resolve_prior(prior, K)
-    t = drawn.sum(axis=0)
-    a = drawn + prior.alpha.reshape((K,) + (1,) * (drawn.ndim - 1))
-    q = gammaln(a).sum(axis=0) - gammaln(a.sum(axis=0)) - prior.log_beta
-    infeasible, total = False, 0.0
-    if method == "ppr":
-        lgfact = gammaln(np.arange(N + 1, dtype=float) + 1.0)
-        for c, d in zip(censuses, drawn, strict=True):
-            infeasible = infeasible | (c < d)
-            total = total + (lgfact[c] - lgfact[np.maximum(c - d, 0)])
-        w = q + (lgfact[N] - lgfact[N - t]) - total
-    elif method == "wor-kt":
-        logint = np.log(np.maximum(np.arange(N + 1, dtype=float), 1.0))
-        for c, d in zip(censuses, drawn, strict=True):
-            infeasible = infeasible | (c < d) | ((c == d) & (d >= 1))
-            total = total + d * logint[np.maximum(c - d, 1)]
-        w = q + (t * logint[N - t] - total)
-    else:
-        raise ValueError(f"unknown WoR method {method!r}")
-    return np.where(infeasible, math.inf, w)
+    table = _wor_table(N, method)
+    total = 0.0
+    for c, d in zip(censuses, drawn, strict=True):
+        total = total + _wor_term(table, c, d, method)
+    return _wor_finish(table, drawn, N, method, prior)(total)

@@ -321,7 +321,6 @@ def test_criterion_4_audit_stopping_times_smoke():
     _verdict(f"audit smoke (N=100): mean stop ratio {ratio:.3f} < 1", ratio < 1.0)
 
 
-@pytest.mark.slow
 def test_criterion_4_audit_stopping_times_desk_scale():
     cfg = ExperimentConfig(
         preset="custom", census=(600, 250, 150), trials=100, delta=DELTA,

@@ -177,9 +177,21 @@ def test_wor_stream_bad_line_exits_2(tmp_path, capsys, text, bad_line,
     (["wor", "--census", "6,3,1", "--method", "kt"], "wor: unknown method 'kt'"),
     (["wor", "--census", "6,3,1", "--stream", "--obs", "unread",
       "--method", "nope"], "wor --stream: unknown WoR method 'nope'"),
+    (["simulate", "--mu", "0.5,0.6", "--t", "3"],
+     "simulate: mu (0.5, 0.6) is not a probability vector"),
+    (["simulate", "--mu", "1", "--t", "3"],
+     "simulate: mu (1.0,) is not a probability vector"),
+    (["simulate", "--conc", "2,-1", "--t", "3"],
+     "simulate: concentration (2.0, -1.0) needs 2 or more positive entries"),
+    (["wor", "--census", "3,-2"], "wor: census (3, -2) needs 2 or more"),
+    (["wor", "--census", "5"], "wor: census (5,) needs 2 or more"),
+    (["wor", "--census", "0,0"], "wor: census (0, 0) needs 2 or more"),
+    (["wor", "--census", "3,-2", "--stream", "--obs", "unread"],
+     "wor --stream: census (3, -2) needs 2 or more"),
 ])
 def test_rejected_config_exits_2(argv, error, capsys):
-    # a method name of the wrong kind, or a bad level, ends the command with
+    # a method name of the wrong kind, or a bad level, mu, concentration or
+    # census, ends the command with
     # a one-line error before any trial runs or any label is read
     assert main(argv) == 2
     out, err = capsys.readouterr()

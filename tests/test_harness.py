@@ -177,6 +177,8 @@ def test_wor_experiment_summary():
     assert s["coverage"]["ppr"] >= 0.9
     for r in res["rows"]:
         assert 1 <= r["stop_t"] <= 20
+        # the plug-in kernel excludes the true census: not a CS
+        assert r["time_uniform"] is (r["method"] == "ppr")
 
 
 def test_kt_and_up_agree_on_categorical_data():

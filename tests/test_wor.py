@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from simplexcs.confset import log_threshold
 from simplexcs.harness import gen_wor, trial_rng
 from simplexcs.simplex import enumerate_grid
 from simplexcs.wealth import ppr_log_wealth, wor_kt_log_wealth, wor_log_wealth_many
@@ -206,3 +208,107 @@ def test_audit_state_equals_running_max_oracle_exhaustive(method):
                         seen.add(("decided", disjoint))
     assert seen == {("wealth excludes", False), ("wealth excludes", True),
                     ("decided", False), ("decided", True)}
+
+
+def test_scalar_ppr_membership_equals_audit_state_at_a_tie():
+    # drawn (2,0,0) against the census (2,0,3), N = 5, has wealth exactly 2:
+    # the scalar form is one row of the kernel, so at delta 0.5 it excludes
+    # that census as the audit does
+    drawn, census = np.array([2, 0, 0]), np.array([2, 0, 3])
+    assert ppr_log_wealth(drawn, census) == wor_log_wealth_many(
+        drawn[:, None], census[:, None], 5, "ppr")[0]
+    assert ppr_log_wealth(drawn, census) >= -math.log(0.5)
+    # every label order of length N - 1 at K = 3, N = 5: the running max of
+    # the scalar below ln 2 is the audit's active set after every draw
+    grid = enumerate_grid(3, 5)
+    for labels in itertools.product(range(3), repeat=4):
+        state = AuditState(5, 3, 0.5)
+        drawn = np.zeros(3, dtype=np.int64)
+        running_max = np.full(grid.shape[0], -math.inf)
+        for label in labels:
+            state.absorb(label)
+            drawn[label] += 1
+            running_max = np.maximum(
+                running_max, [ppr_log_wealth(drawn, c) for c in grid])
+            assert np.array_equal(state.active_censuses(),
+                                  grid[running_max < -math.log(0.5)])
+
+
+class ColumnAudit:
+    """The audit engine as columns, the oracle for the line engine: every
+    census of G(K, N) starts active, and each draw keeps the columns whose
+    wealth under the vectorized kernel is below ln(1/delta)."""
+
+    def __init__(self, N, K, delta, method):
+        self.N, self.method = N, method
+        self.threshold = log_threshold(delta)
+        self.drawn = np.zeros(K, dtype=np.int64)
+        self.cols = np.ascontiguousarray(enumerate_grid(K, N).T)
+
+    def absorb(self, category):
+        self.drawn[category] += 1
+        w = wor_log_wealth_many(self.drawn[:, None], self.cols, self.N,
+                                self.method)
+        self.cols = np.compress(w < self.threshold, self.cols, axis=1)
+
+    def bounds(self):
+        return np.stack([self.cols.min(axis=1), self.cols.max(axis=1)], axis=1)
+
+
+def _disjoint(bounds):
+    lo, hi = bounds.T
+    return all(hi[a] < lo[b] or hi[b] < lo[a]
+               for a, b in itertools.combinations(range(len(lo)), 2))
+
+
+@pytest.mark.parametrize("method", ["ppr", "wor-kt"])
+@pytest.mark.parametrize("delta", [0.05, 0.5])
+@pytest.mark.parametrize("census,perms", [
+    ((600, 400), 3),
+    ((600, 250, 150), 2),
+    ((60, 25, 15, 10), 3),
+], ids=["K2", "K3", "K4"])
+def test_line_engine_equals_column_oracle(census, perms, delta, method):
+    # realistic N: after every draw the active censuses (rows and order),
+    # the count bounds and the rank decision equal the column oracle's, and
+    # so do the stop times
+    census = np.array(census)
+    N, K = int(census.sum()), census.size
+    for perm in range(perms):
+        labels = gen_wor(census, trial_rng(41, perm))
+        state, oracle = (AuditState(N, K, delta, method=method),
+                         ColumnAudit(N, K, delta, method))
+        stop = N
+        for t, label in enumerate(labels[: N - 1], start=1):
+            state.absorb(int(label))
+            oracle.absorb(int(label))
+            assert np.array_equal(state.active_censuses(), oracle.cols.T)
+            if oracle.cols.shape[1] == 0:
+                assert state.active_count() == 0
+                break
+            assert state.active_count() == oracle.cols.shape[1]
+            assert np.array_equal(category_count_bounds(state), oracle.bounds())
+            decided = _disjoint(oracle.bounds())
+            assert rank_decided(state) == decided
+            if decided and stop == N:
+                stop = t
+        assert stopping_time(labels, N, K, delta, method=method) == stop
+
+
+def test_scan_scratch_is_bounded_at_large_n():
+    # N = 10^5, K = 3: the first draw of category 0 excludes c_0 <= 33 on
+    # each of the 100,001 lines (PPR wealth N / (3 c_0) >= 1 / delta).
+    # Scanning every line's end at once would hold millions of points; the
+    # engine evaluates at most a fixed number per block.
+    N = 100_000
+    state = AuditState(N, 3, 1e-3)
+    tracemalloc.start()
+    try:
+        state.absorb(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert np.array_equal(category_count_bounds(state),
+                          [[34, N], [0, N - 34], [0, N - 34]])
+    assert state.active_count() == (N - 33) * (N - 32) // 2

@@ -14,7 +14,6 @@ from .confset import (
     ConfidenceSet,
     kt_kl_threshold,
     membership,
-    realize_on_grid,
     simplex_candidate_grid,
     thm3b_lower_bound,
     thm3c_asymptotic_threshold,
@@ -27,11 +26,8 @@ from .wealth import (
     UPState,
     constant_bettor_log_wealth,
     kt_log_wealth,
-    perround_wor_log_wealth,
     ppr_log_wealth,
     q_kt,
-    wor_kt_log_wealth,
-    wor_mean_transform,
 )
 from .wor import AuditState, category_count_bounds, rank_decided, stopping_time
 

@@ -18,13 +18,7 @@ from .boxreduce import embed
 from .confset import simplex_candidate_grid
 from .harness import DEFAULT_GRID, ExperimentConfig, apply_preset, check_census, emit
 from .harness import run_experiment, running_set
-from .wealth import (
-    DirichletPrior,
-    UPState,
-    kt_log_wealth,
-    ppr_log_wealth,
-    wor_kt_log_wealth,
-)
+from .wealth import DirichletPrior, UPState, kt_log_wealth, ppr_log_wealth
 from .wor import AuditState, category_count_bounds, rank_decided
 
 
@@ -55,6 +49,9 @@ def load_observations(path, K=None, box=False):
         cats = np.array([int(r[0]) - 1 for r in rows])
         if K is None:
             K = int(cats.max()) + 1
+        bad = cats[(cats < 0) | (cats >= K)]
+        if bad.size:
+            raise ValueError(f"category {bad[0] + 1} is not in 1..{K}")
         out = np.zeros((len(cats), K))
         out[np.arange(len(cats)), cats] = 1.0
         return out
@@ -106,10 +103,9 @@ def _cmd_wor(args):
     if args.stream:
         return _wor_stream(census, args)
     cfg = ExperimentConfig(
-        preset="custom", census=census, trials=args.permutations or 100,
-        delta=args.delta or 0.05, seed=args.seed or 0,
-        methods=tuple(args.method.split(",")) if args.method else (),
-        alpha=args.alpha if args.alpha is not None else 0.5,
+        preset="custom", census=census, trials=args.permutations,
+        delta=args.delta, seed=args.seed,
+        methods=tuple(args.method.split(",")), alpha=args.alpha,
     )
     return _run("wor", cfg, args.out)
 
@@ -122,11 +118,9 @@ def _wor_stream(census, args):
     as does a census or an audit that AuditState rejects."""
     K = len(census)
     try:
-        state = AuditState(
-            sum(check_census(census)), K, args.delta or 0.05,
-            method=(args.method or "ppr"),
-            prior=DirichletPrior(np.full(K, args.alpha if args.alpha is not None else 0.5)),
-        )
+        state = AuditState(sum(check_census(census)), K, args.delta,
+                           method=args.method,
+                           prior=DirichletPrior(np.full(K, args.alpha)))
     except ValueError as exc:
         print(f"wor --stream: {exc}", file=sys.stderr)
         return 2
@@ -156,44 +150,50 @@ def _wor_stream(census, args):
 
 
 def _cmd_wealth(args):
-    m = np.array(_floats(args.m))
-    K = m.size
-    alpha = args.alpha if args.alpha is not None else 0.5
-    prior = DirichletPrior(np.full(K, alpha))
-    obs = load_observations(args.obs, K=K, box=args.box)
-    if args.method == "kt":
-        counts = obs.sum(axis=0)
-        val = kt_log_wealth(counts, m, prior)
-    elif args.method == "up":
-        state = UPState(K, prior=prior)
-        for y in obs:
-            state = state.absorb(y)
-        val = state.log_wealth(m)
-    elif args.method in ("ppr", "wor-kt"):
-        if args.n is None:
-            raise SystemExit("--n (population size) is required for WoR kernels")
-        counts = obs.sum(axis=0)
-        if args.method == "ppr":
-            census = np.rint(args.n * m).astype(int)
-            val = ppr_log_wealth(counts, census, prior)
-        else:
-            val = wor_kt_log_wealth(counts, m, args.n, prior)
-    else:
-        raise SystemExit(f"unknown wealth method {args.method!r}")
+    try:
+        val = _wealth(args)
+    except ValueError as exc:
+        print(f"wealth: {exc}", file=sys.stderr)
+        return 2
     print(f"{val:.12g}")
     return 0
 
 
+def _wealth(args):
+    m = np.array(_floats(args.m))
+    K = m.size
+    prior = DirichletPrior(np.full(K, args.alpha))
+    obs = load_observations(args.obs, K=K, box=args.box)
+    if args.method == "kt":
+        return kt_log_wealth(obs.sum(axis=0), m, prior)
+    if args.method == "up":
+        state = UPState(K, prior=prior)
+        for y in obs:
+            state = state.absorb(y)
+        return state.log_wealth(m)
+    if args.n is None:
+        raise ValueError("--n (population size) is required for ppr")
+    census = np.rint(args.n * m)
+    if np.any(np.abs(args.n * m - census) > 1e-9) or census.sum() != args.n:
+        raise ValueError(f"--n {args.n} times --m is not an integer census "
+                         f"of {args.n}")
+    return ppr_log_wealth(obs.sum(axis=0), census.astype(int), prior)
+
+
 def _cmd_confset(args):
-    obs = load_observations(args.obs, box=args.box)
-    K = obs.shape[1]
-    grid = args.grid or DEFAULT_GRID.get(K, 20)
-    candidates = simplex_candidate_grid(K, grid)
-    prior = DirichletPrior(np.full(K, args.alpha if args.alpha is not None else 0.5))
-    state, cs = running_set(args.method, candidates, args.delta, prior)
-    for y in obs:
-        state = state.absorb(y)
-        cs.update(state.log_wealth_many(cs.active_candidates()))
+    try:
+        obs = load_observations(args.obs, box=args.box)
+        K = obs.shape[1]
+        grid = DEFAULT_GRID.get(K, 20) if args.grid is None else args.grid
+        prior = DirichletPrior(np.full(K, args.alpha))
+        state, cs = running_set(args.method, simplex_candidate_grid(K, grid),
+                                args.delta, prior)
+        for y in obs:
+            state = state.absorb(y)
+            cs.update(state.log_wealth_many(cs.active_candidates()))
+    except ValueError as exc:
+        print(f"confset: {exc}", file=sys.stderr)
+        return 2
     cs.to_csv(args.out)
     print(json.dumps({"relative_volume": cs.relative_volume()}))
     return 0
@@ -226,11 +226,11 @@ def build_parser():
 
     pw = sub.add_parser("wor", help="without-replacement audit experiment")
     pw.add_argument("--census", required=True)
-    pw.add_argument("--permutations", type=int)
-    pw.add_argument("--delta", type=float)
-    pw.add_argument("--method")
-    pw.add_argument("--seed", type=int)
-    pw.add_argument("--alpha", type=float)
+    pw.add_argument("--permutations", type=int, default=100)
+    pw.add_argument("--delta", type=float, default=0.05)
+    pw.add_argument("--method", default="ppr")
+    pw.add_argument("--seed", type=int, default=0)
+    pw.add_argument("--alpha", type=float, default=0.5)
     pw.add_argument("--out")
     pw.add_argument("--stream", action="store_true",
                     help="read one category label per line, emit JSON per line")
@@ -238,11 +238,11 @@ def build_parser():
     pw.set_defaults(func=_cmd_wor)
 
     pv = sub.add_parser("wealth", help="evaluate log-wealth at one candidate")
-    pv.add_argument("--method", required=True)
+    pv.add_argument("--method", required=True, choices=("kt", "up", "ppr"))
     pv.add_argument("--obs", required=True)
     pv.add_argument("--m", required=True)
-    pv.add_argument("--alpha", type=float)
-    pv.add_argument("--n", type=int, help="population size for WoR kernels")
+    pv.add_argument("--alpha", type=float, default=0.5)
+    pv.add_argument("--n", type=int, help="population size for ppr")
     pv.add_argument("--box", action="store_true")
     pv.set_defaults(func=_cmd_wealth)
 
@@ -251,7 +251,7 @@ def build_parser():
     pc.add_argument("--obs", required=True)
     pc.add_argument("--delta", type=float, required=True)
     pc.add_argument("--grid", type=int)
-    pc.add_argument("--alpha", type=float)
+    pc.add_argument("--alpha", type=float, default=0.5)
     pc.add_argument("--box", action="store_true")
     pc.add_argument("--out", required=True)
     pc.set_defaults(func=_cmd_confset)

@@ -24,7 +24,6 @@ __all__ = [
     "thm3c_asymptotic_threshold",
     "simplex_candidate_grid",
     "ConfidenceSet",
-    "realize_on_grid",
     "boundary_radius",
 ]
 
@@ -77,6 +76,8 @@ def thm3c_asymptotic_threshold(t, K, delta):
 
 def simplex_candidate_grid(K, G):
     """The resolution-G candidate grid {k / G : k in G(K, G)} as (A, K) floats."""
+    if G < 1:
+        raise ValueError(f"grid resolution {G} must be >= 1")
     return enumerate_grid(K, G).astype(float) / G
 
 
@@ -132,21 +133,13 @@ class ConfidenceSet:
                 )
 
 
-def realize_on_grid(kernel, candidates, delta):
-    """Build a ConfidenceSet and fold in one kernel evaluation.
-
-    kernel maps an (A, K) array of candidates to their log-wealth.
-    """
-    cs = ConfidenceSet(candidates, delta)
-    cs.update(kernel(cs.active_candidates()))
-    return cs
-
-
 def boundary_radius(member, center, direction, iters=16):
     """Bisect for the membership boundary along center + s * direction, s in [0, 1].
 
     member is a point-membership predicate; justified by convexity of the
     gambling confidence sets.  Returns the sup of the member segment.
+    test_boundary_radius_matches_kl_boundary checks the KT set's KL form
+    (kt_kl_threshold) against it.
     """
     center = np.asarray(center, dtype=float)
     direction = np.asarray(direction, dtype=float)

@@ -115,7 +115,7 @@ def apply_preset(cfg):
     elif cfg.preset == "fig2":
         if cfg.census is None:
             cfg.census = (600, 250, 150)
-        cfg.methods = tuple(cfg.methods) or ("wor-kt", "ppr")
+        cfg.methods = tuple(cfg.methods) or wor.METHODS
     elif cfg.preset == "fig3":
         if cfg.concentration is None:
             raise ValueError(
@@ -127,7 +127,7 @@ def apply_preset(cfg):
     if cfg.census is not None:
         cfg.census = check_census(cfg.census)
         cfg.k = len(cfg.census)
-        cfg.methods = tuple(cfg.methods) or ("wor-kt", "ppr")
+        cfg.methods = tuple(cfg.methods) or wor.METHODS
     else:
         if cfg.mu is not None:
             cfg.mu = tuple(float(x) for x in cfg.mu)
@@ -159,6 +159,10 @@ def apply_preset(cfg):
         raise ValueError("delta must lie in (0, 1)")
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
+    if cfg.grid_resolution < 1:
+        raise ValueError("grid resolution must be >= 1")
+    if not cfg.alpha > 0.0:
+        raise ValueError("alpha must be positive")
     return cfg
 
 
@@ -289,17 +293,14 @@ def _cp_bonf_set(counts, t, cands, delta):
     return np.all((cands >= lo) & (cands <= hi), axis=1)
 
 
-# non-time-uniform methods: name -> the mask of an (A, K) candidate block in
-# the set built afresh from (counts, t) at level delta
+# non-time-uniform methods, whose rows are not a confidence sequence: name ->
+# the mask of an (A, K) candidate block in the set built afresh from
+# (counts, t) at level delta
 _FRESH_SETS = {
     "sanov": lambda counts, t, cands, delta: sanov_set(counts / t, t, cands, delta),
     "mardia": lambda counts, t, cands, delta: mardia_set(counts / t, t, cands, delta),
     "cp-bonf": _cp_bonf_set,
 }
-
-# methods whose rows are not a confidence sequence: the fresh sets, and the
-# final plug-in WoR kernel, which excludes the true census
-_NOT_TIME_UNIFORM = frozenset(_FRESH_SETS) | {"wor-kt"}
 
 
 class FreshRunner:
@@ -379,7 +380,7 @@ def _row(method, trial, t, volume, covered, active_count, stop_t=None):
         "covered": bool(covered),
         "active_count": active_count,
         "stop_t": stop_t,
-        "time_uniform": method not in _NOT_TIME_UNIFORM,
+        "time_uniform": method not in _FRESH_SETS,
     }
 
 
@@ -440,15 +441,15 @@ def _summarize_simulate(rows):
             # time-uniform coverage: trial flag never dropped up to t
             "time_uniform_coverage": _trial_mean(
                 np.logical_and.accumulate(covered, axis=1)),
-            "time_uniform": m not in _NOT_TIME_UNIFORM,
+            "time_uniform": m not in _FRESH_SETS,
         }
     return summary
 
 
-def _truth_covered_wor(labels, census, N, K, delta, method, prior):
-    """Does the true census stay active through t = N-1 under this kernel?"""
+def _truth_covered_wor(labels, census, N, K, delta, prior):
+    """Does the true census stay active through t = N-1?"""
     counts = np.cumsum(np.eye(K, dtype=np.int64)[labels[: N - 1]], axis=0)
-    w = wor_log_wealth_many(counts.T, census, N, method, prior)
+    w = wor_log_wealth_many(counts.T, census, N, prior)
     return bool(np.all(w < log_threshold(delta)))
 
 
@@ -464,26 +465,20 @@ def _run_wor(cfg):
     for perm in range(cfg.trials):
         rng = trial_rng(cfg.seed, perm)
         labels = gen_wor(census, rng)
+        covered[:, perm, 0] = _truth_covered_wor(labels, census, N, K,
+                                                 cfg.delta, prior)
         for i, m in enumerate(cfg.methods):
             state = AuditState(N, K, cfg.delta, method=m, prior=prior)
             stops[i, perm, 0] = state.replay(labels)
-            covered[i, perm, 0] = _truth_covered_wor(
-                labels, census, N, K, cfg.delta, m, prior)
             active[i, perm, 0] = state.active_count()
     rows = Rows(cfg.methods, stops, None, covered, active, stop_t=stops)
-    stop = {m: stops[i, :, 0] for i, m in enumerate(cfg.methods)}
     summary = {
         "population": census.tolist(),
         "N": N,
-        "mean_stop": {m: float(np.mean(stop[m])) for m in cfg.methods},
+        "mean_stop": {m: float(np.mean(stops[i])) for i, m in enumerate(cfg.methods)},
         "coverage": {m: float(np.mean(covered[i]))
                      for i, m in enumerate(cfg.methods)},
     }
-    if "wor-kt" in stop and "ppr" in stop:
-        ratio = stop["wor-kt"] / stop["ppr"]
-        summary["stop_ratio_kt_over_ppr"] = ratio.tolist()
-        summary["mean_stop_ratio"] = float(np.mean(ratio))
-        summary["frac_kt_no_later"] = float(np.mean(stop["wor-kt"] <= stop["ppr"]))
     return {"kind": "wor", "config": cfg.to_dict(), "rows": rows, "summary": summary}
 
 
@@ -540,8 +535,29 @@ def emit(result, fmt, path):
 
 
 def _emit_svg(result, path, width=640, height=420):
-    """Minimal line chart: mean volume (simulate) or stop-time ratios (wor)."""
+    """Minimal line chart, one series per method: mean volume against t
+    (simulate), or the share of permutations that stop at each t in 1..N,
+    in at most 20 bins (wor)."""
     pad = 50
+    if result["kind"] == "simulate":
+        series = []
+        for m, s in sorted(result["summary"].items()):
+            v = s["mean_volume"]
+            series.append((m, np.arange(len(v)) / max(len(v) - 1, 1), v,
+                           not s["time_uniform"]))
+        xlabel, ylabel = "t", "relative volume"
+    else:
+        rows, N = result["rows"], result["summary"]["N"]
+        edges = np.linspace(1, N + 1, min(N, 20) + 1)
+        series = []
+        for i, m in enumerate(rows.methods):
+            stops = rows.stop_t[i].ravel()
+            share = np.histogram(stops, bins=edges)[0] / stops.size
+            # the histogram's outline, from (1, 0) up each bin to (N + 1, 0)
+            series.append((m, np.repeat((edges - 1) / N, 2),
+                           np.concatenate([[0.0], np.repeat(share, 2), [0.0]]),
+                           False))
+        xlabel, ylabel = "stop time t", "share of permutations"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -551,49 +567,26 @@ def _emit_svg(result, path, width=640, height=420):
     ]
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
                "#17becf"]
-    if result["kind"] == "simulate":
-        summary = result["summary"]
-        T = len(next(iter(summary.values()))["mean_volume"]) - 1
-        for i, (m, s) in enumerate(sorted(summary.items())):
-            pts = []
-            for t, v in enumerate(s["mean_volume"]):
-                x = pad + (width - 2 * pad) * (t / max(T, 1))
-                y = height - pad - (height - 2 * pad) * v
-                pts.append(f"{x:.1f},{y:.1f}")
-            dash = '' if s["time_uniform"] else ' stroke-dasharray="6,4"'
-            parts.append(
-                f'<polyline fill="none" stroke="{palette[i % len(palette)]}"'
-                f'{dash} points="{" ".join(pts)}"/>'
-            )
-            parts.append(
-                f'<text x="{width - pad + 2}" y="{pad + 14 * i}" font-size="11" '
-                f'fill="{palette[i % len(palette)]}">{m}</text>'
-            )
+    for i, (m, fx, fy, dashed) in enumerate(series):
+        pts = " ".join(f"{pad + (width - 2 * pad) * x:.1f},"
+                       f"{height - pad - (height - 2 * pad) * y:.1f}"
+                       for x, y in zip(fx, fy))
+        dash = ' stroke-dasharray="6,4"' if dashed else ''
         parts.append(
-            f'<text x="{width // 2}" y="{height - 12}" font-size="12">t</text>'
+            f'<polyline fill="none" stroke="{palette[i % len(palette)]}"'
+            f'{dash} points="{pts}"/>'
         )
         parts.append(
-            f'<text x="8" y="{height // 2}" font-size="12" '
-            f'transform="rotate(-90 12,{height // 2})">relative volume</text>'
+            f'<text x="{width - pad + 2}" y="{pad + 14 * i}" font-size="11" '
+            f'fill="{palette[i % len(palette)]}">{m}</text>'
         )
-    else:
-        ratios = result["summary"].get("stop_ratio_kt_over_ppr", [])
-        if ratios:
-            nbins = 20
-            hist, edges = np.histogram(ratios, bins=nbins, range=(0.0, 2.0))
-            top = max(int(hist.max()), 1)
-            bw = (width - 2 * pad) / nbins
-            for i, h in enumerate(hist):
-                x = pad + i * bw
-                bh = (height - 2 * pad) * (h / top)
-                parts.append(
-                    f'<rect x="{x:.1f}" y="{height - pad - bh:.1f}" '
-                    f'width="{bw - 1:.1f}" height="{bh:.1f}" fill="#1f77b4"/>'
-                )
-        parts.append(
-            f'<text x="{width // 2 - 60}" y="{height - 12}" font-size="12">'
-            "stop-time ratio KT / PPR</text>"
-        )
+    parts.append(
+        f'<text x="{width // 2}" y="{height - 12}" font-size="12">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="8" y="{height // 2}" font-size="12" '
+        f'transform="rotate(-90 12,{height // 2})">{ylabel}</text>'
+    )
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -138,7 +138,8 @@ def rank(k):
 
 
 def unrank(i, K, t):
-    """The count vector of colex rank i in G(K, t)."""
+    """The count vector of colex rank i in G(K, t).  The inverse of rank:
+    test_rank_unrank_identity_exhaustive uses it as the oracle for rank."""
     if not (0 <= i < grid_size(K, t)):
         raise ValueError(f"index {i} out of range for G({K},{t})")
     out = np.zeros(K, dtype=np.int64)
@@ -158,7 +159,8 @@ def unrank(i, K, t):
 
 
 def empirical_mean(obs):
-    """Coordinatewise average of a nonempty sequence of simplex points."""
+    """Coordinatewise average of a nonempty sequence of simplex points.
+    The paper's sets never exclude it: test_criterion_2_empirical_mean_never_excluded."""
     obs = np.asarray(obs, dtype=float)
     if obs.ndim != 2 or obs.shape[0] == 0:
         raise ValueError("empirical_mean expects a nonempty (t, K) array")

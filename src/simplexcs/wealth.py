@@ -2,8 +2,8 @@
 
 Every kernel returns log-wealth for a candidate mean: the KT mixture for
 categorical data, the constant bettor and Cover-style universal portfolio
-for probability-vector data, and the without-replacement variants
-(plug-in KT, per-round plug-in, posterior-prior ratio).
+for probability-vector data, and the posterior-prior ratio (PPR) for
+sampling without replacement, whose hypotheses are integer censuses.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ __all__ = [
     "kt_log_wealth_many",
     "constant_bettor_log_wealth",
     "UPState",
-    "wor_mean_transform",
-    "wor_kt_log_wealth",
-    "perround_wor_log_wealth",
     "ppr_log_wealth",
     "wor_log_wealth_many",
 ]
@@ -108,7 +105,9 @@ def constant_bettor_log_wealth(obs, b, m):
     """Log wealth of a constant bettor b against candidate mean m.
 
     Per-round gain is sum_j b_j y_ij / m_j; a round with zero gain
-    bankrupts the bettor (-inf), it is not an error.
+    bankrupts the bettor (-inf), it is not an error.  The UP wealth is its
+    Dirichlet mixture over b; test_criterion_2_empirical_mean_never_excluded
+    uses it as the oracle that no constant bet earns at the empirical mean.
     """
     obs = np.asarray(obs, dtype=float)
     if obs.size == 0:
@@ -279,73 +278,6 @@ class UPState:
 # ---------------------------------------------------------------------------
 
 
-def wor_mean_transform(m, drawn, N):
-    """Mean of the remaining population under hypothesis m: (N m - drawn)/(N - t).
-
-    Coordinates may come out negative; an infeasible hypothesis is the
-    caller's to exclude, not an error here.
-    """
-    m = np.asarray(m, dtype=float)
-    drawn, t = validate_count_vector(drawn)
-    if t >= N:
-        raise ValueError("wor_mean_transform requires sum(drawn) < N")
-    return (N * m - drawn) / (N - t)
-
-
-def wor_kt_log_wealth(drawn, m, N, prior=None):
-    """Log KT wealth with the final WoR plug-in mean in place of m.
-
-    A category already exhausted (or over-drawn) under m while having been
-    drawn diverges to +inf: the census is excluded with certainty.
-    """
-    drawn, t = validate_count_vector(drawn)
-    m = np.asarray(m, dtype=float)
-    if m.shape != drawn.shape:
-        raise ValueError("wor_kt_log_wealth: dimension mismatch")
-    if t > N - 1:
-        raise ValueError("wor_kt_log_wealth requires sum(drawn) <= N - 1")
-    rem = N * m - drawn
-    if np.any((rem <= 0.0) & (drawn >= 1)) or np.any(rem < 0.0):
-        return math.inf
-    val = q_kt(drawn, prior)
-    pos = drawn >= 1
-    val -= float(np.sum(drawn[pos] * (np.log(rem[pos]) - math.log(N - t))))
-    return val
-
-
-def perround_wor_log_wealth(draws, m, N, prior=None):
-    """Log wealth of the round-by-round WoR plug-in, in closed form.
-
-    Defined for census hypotheses only: N * m must be integer-valued.
-    Uses falling factorials; the literal sequential product is kept as a
-    test oracle.
-    """
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 2:
-        raise ValueError("draws must be a (t, K) array of one-hot vectors")
-    for row in draws:
-        validate_prob_vector(row)
-        if not np.all((row == 0.0) | (row == 1.0)):
-            raise ValueError("perround_wor_log_wealth requires one-hot draws")
-    counts, t = validate_count_vector(draws.sum(axis=0))
-    m = np.asarray(m, dtype=float)
-    if t > N - 1:
-        raise ValueError("perround_wor_log_wealth requires t <= N - 1")
-    nm = N * m
-    nmi = np.rint(nm)
-    if np.any(np.abs(nm - nmi) > 1e-9):
-        raise ValueError("N * m must be integer-valued (census hypothesis)")
-    nmi = nmi.astype(np.int64)
-    if np.any(nmi < counts):
-        return math.inf
-    val = q_kt(counts, prior)
-    # log (N)_t, falling factorial
-    val += float(gammaln(N + 1.0) - gammaln(N - t + 1.0))
-    # minus sum_j log (N m_j)_{K_tj}
-    val -= float(np.sum(gammaln(nmi + 1.0) - gammaln(nmi - counts + 1.0)))
-    return val
-
-
 def ppr_log_wealth(drawn, census, prior=None):
     """Log posterior-prior-ratio wealth at an integer census hypothesis:
     one row of wor_log_wealth_many, in the audit engine's shape."""
@@ -355,64 +287,50 @@ def ppr_log_wealth(drawn, census, prior=None):
         raise ValueError("ppr_log_wealth: dimension mismatch")
     if t > N - 1:
         raise ValueError("ppr_log_wealth requires sum(drawn) <= N - 1")
-    return float(wor_log_wealth_many(drawn[:, None], census[:, None], N, "ppr",
+    return float(wor_log_wealth_many(drawn[:, None], census[:, None], N,
                                      prior)[0])
 
 
-def _wor_table(N, method):
-    """The table over 0..N that the WoR kernel reads: log v! for "ppr",
-    log max(v, 1) for "wor-kt"."""
-    if method == "ppr":
-        return gammaln(np.arange(N + 1, dtype=float) + 1.0)
-    if method == "wor-kt":
-        return np.log(np.maximum(np.arange(N + 1, dtype=float), 1.0))
-    raise ValueError(f"unknown WoR method {method!r}")
+def _wor_table(N):
+    """The table of log v! over v = 0..N that the WoR kernel reads."""
+    return gammaln(np.arange(N + 1, dtype=float) + 1.0)
 
 
-def _wor_term(table, c, d, method):
-    """One category's term of the WoR log-wealth, census counts c against
-    drawn count d (elementwise); -inf where c cannot have produced d, or
-    under wor-kt where a drawn category is exhausted."""
-    if method == "ppr":
-        term = table[c] - table[np.maximum(c - d, 0)]
-        infeasible = c < d
-    else:
-        term = d * table[np.maximum(c - d, 1)]
-        infeasible = (c < d) | ((c == d) & (d >= 1))
-    return np.where(infeasible, -math.inf, term)
+def _wor_term(table, c, d):
+    """One category's term of the WoR log-wealth, log (c)_d, the falling
+    factorial of census counts c against drawn count d (elementwise); -inf
+    where c cannot have produced d."""
+    term = table[c] - table[np.maximum(c - d, 0)]
+    return np.where(c < d, -math.inf, term)
 
 
-def _wor_finish(table, drawn, N, method, prior):
+def _wor_finish(table, drawn, N, prior):
     """The map from the summed terms to the log-wealth at these drawn
-    counts ((K, ...), category-leading); a sum of -inf gives +inf."""
+    counts ((K, ...), category-leading): log q(k) + log (N)_t minus the sum;
+    a sum of -inf gives +inf."""
     K = drawn.shape[0]
     prior = _resolve_prior(prior, K)
     t = drawn.sum(axis=0)
     a = drawn + prior.alpha.reshape((K,) + (1,) * (drawn.ndim - 1))
     q = gammaln(a).sum(axis=0) - gammaln(a.sum(axis=0)) - prior.log_beta
-    if method == "ppr":
-        head = q + (table[N] - table[N - t])
-        return lambda total: head - total
-    tail = t * table[N - t]
-    return lambda total: q + (tail - total)
+    head = q + (table[N] - table[N - t])
+    return lambda total: head - total
 
 
-def wor_log_wealth_many(drawn, censuses, N, method, prior=None):
-    """Vectorized WoR log-wealth of drawn counts against census hypotheses.
+def wor_log_wealth_many(drawn, censuses, N, prior=None):
+    """Vectorized posterior-prior-ratio log-wealth of drawn counts against
+    census hypotheses.
 
     drawn and censuses are category-leading, (K, ...), and pair up by
-    broadcasting over the trailing axes.  method "ppr" is the
-    posterior-prior ratio and "wor-kt" is wor_kt_log_wealth at
-    m = census / N.  A census below the drawn counts, and under wor-kt a
-    drawn category the census has exhausted, gives +inf.  Log-factorials
-    and log-integers come from tables over 0..N; the per-category terms
-    (_wor_term, which the audit engine also reads) are added in category
-    order.
+    broadcasting over the trailing axes.  A census below the drawn counts
+    gives +inf.  Log-factorials come from a table over 0..N; the
+    per-category terms (_wor_term, which the audit engine also reads) are
+    added in category order.
     """
     drawn = np.asarray(drawn, dtype=np.int64)
     censuses = np.asarray(censuses, dtype=np.int64)
-    table = _wor_table(N, method)
+    table = _wor_table(N)
     total = 0.0
     for c, d in zip(censuses, drawn, strict=True):
-        total = total + _wor_term(table, c, d, method)
-    return _wor_finish(table, drawn, N, method, prior)(total)
+        total = total + _wor_term(table, c, d)
+    return _wor_finish(table, drawn, N, prior)(total)

@@ -1,10 +1,9 @@
 """Sampling-without-replacement audit engine.
 
-Hypotheses are integer censuses in G(K, N).  Under either kernel (the
-posterior-prior ratio, or the final plug-in KT, which does not cover the
-true census) the log-wealth is convex in the census, so the active set, the
-censuses whose running max stays below ln(1/delta), meets every lattice line
-in one contiguous run.  The state keeps one run per line.  The lines are the
+Hypotheses are integer censuses in G(K, N).  The posterior-prior-ratio
+log-wealth is convex in the census, so the active set, the censuses whose
+running max stays below ln(1/delta), meets every lattice line in one
+contiguous run.  The state keeps one run per line.  The lines are the
 rows of G(K-1, N), read as (c_1, ..., c_{K-2}, s) with s = c_0 + c_{K-1};
 line i holds the censuses with c_0 in [lo_i, hi_i] and c_{K-1} = s_i - c_0.
 So the state has |G(K-1, N)| lines (N + 1 at K = 3), not |G(K, N)| columns.
@@ -30,7 +29,7 @@ from .confset import log_threshold
 from .simplex import enumerate_grid
 from .wealth import _resolve_prior, _wor_finish, _wor_table, _wor_term
 
-METHODS = ("wor-kt", "ppr")
+METHODS = ("ppr",)
 
 __all__ = [
     "METHODS",
@@ -47,7 +46,8 @@ _SCAN_POINTS = 1 << 16
 
 
 class AuditState:
-    """Active-census bookkeeping for one audit replay."""
+    """Active-census bookkeeping for one audit replay.  method names the
+    WoR wealth and must be one of METHODS."""
 
     def __init__(self, N, K, delta, method="ppr", prior=None):
         if method not in METHODS:
@@ -57,11 +57,10 @@ class AuditState:
         self.N = N
         self.K = K
         self.threshold = log_threshold(delta)
-        self.method = method
         self.prior = _resolve_prior(prior, K)
         self.drawn = np.zeros(K, dtype=np.int64)
         self.t = 0
-        self._table = _wor_table(N, method)
+        self._table = _wor_table(N)
         self._values = np.arange(N + 1)
         # terms[j][v]: category j's term at census count v; 0 before any draw
         self._terms = np.zeros((K, N + 1))
@@ -152,9 +151,9 @@ class AuditState:
         self.drawn[category] += 1
         self.t += 1
         self._terms[category] = _wor_term(self._table, self._values,
-                                          self.drawn[category], self.method)
+                                          self.drawn[category])
         self._finish = _wor_finish(self._table, self.drawn[:, None], self.N,
-                                   self.method, self.prior)
+                                   self.prior)
         lo, hi = self._lo, self._hi
         out = self._excluded(slice(None), np.stack([lo, hi]))
         if not out.any():
@@ -179,8 +178,8 @@ class AuditState:
         for cat in draws[: self.N - 1 - self.t]:
             self.absorb(int(cat))
             if self.active_count() == 0:
-                # every census excluded (possible under the diverging
-                # plug-in kernel); no rank decision can be read off
+                # every census excluded, the true one included (probability
+                # at most delta); no rank decision can be read off
                 break
             if rank_decided(self):
                 return self.t
@@ -192,7 +191,7 @@ def category_count_bounds(state):
     if state.bounds is None:
         raise RuntimeError(
             "no active census remains: coverage failure or misconfiguration "
-            f"(N={state.N}, K={state.K}, method={state.method}, t={state.t})"
+            f"(N={state.N}, K={state.K}, t={state.t})"
         )
     return state.bounds.copy()
 
@@ -204,10 +203,10 @@ def rank_decided(state):
     return bool(np.all(hi[:-1] < lo[1:]))
 
 
-def stopping_time(draws, N, K, delta, method="ppr", prior=None):
+def stopping_time(draws, N, K, delta, prior=None):
     """First t at which the rank order is decided, replaying a draw stream.
 
     draws is a sequence of 0-based category labels; only the first N-1
     draws are consumed.  Returns N as the never-decided sentinel.
     """
-    return AuditState(N, K, delta, method=method, prior=prior).replay(draws)
+    return AuditState(N, K, delta, prior=prior).replay(draws)

@@ -31,18 +31,17 @@ from simplexcs.harness import (
     trial_rng,
 )
 from simplexcs.numerics import kl_divergence
-from simplexcs.simplex import enumerate_grid
+from simplexcs.simplex import empirical_mean, enumerate_grid
 from simplexcs.wealth import (
     UPState,
     constant_bettor_log_wealth,
     kt_log_wealth,
     kt_log_wealth_many,
-    perround_wor_log_wealth,
     ppr_log_wealth,
     q_kt,
-    wor_kt_log_wealth,
-    wor_mean_transform,
 )
+
+from oracles import exact_miscoverage, perround_wor_log_wealth
 
 DELTA = 0.05
 
@@ -100,29 +99,6 @@ def test_criterion_1_ppr_equals_perround_exhaustive():
              worst < 1e-9)
 
 
-def test_criterion_1_plugin_dominates_ppr_exhaustive():
-    ok = True
-    strict = False
-    for K in (2, 3):
-        for N in range(2, 9):
-            for census in enumerate_grid(K, N):
-                m = census / N
-                seen = set()
-                for _, counts in _feasible_sequences(census, N - 1):
-                    key = tuple(counts)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    a = wor_kt_log_wealth(counts, m, N)
-                    b = ppr_log_wealth(counts, census)
-                    if not (a >= b - 1e-9):
-                        ok = False
-                    if np.all(census - counts >= 1) and a > b + 1e-9:
-                        strict = True
-    _verdict("final plug-in wealth dominates PPR, with a strict instance",
-             ok and strict)
-
-
 def test_criterion_1_up_equals_kt_on_one_hot():
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -174,7 +150,7 @@ def test_criterion_2_empirical_mean_never_excluded():
         t = int(rng.integers(1, 15))
         obs = rng.dirichlet(np.ones(K), size=t)
         b = rng.dirichlet(np.ones(K))
-        worst = max(worst, constant_bettor_log_wealth(obs, b, obs.mean(axis=0)))
+        worst = max(worst, constant_bettor_log_wealth(obs, b, empirical_mean(obs)))
     # every constant bettor earns at most 1 at the plug-in mean, so the
     # mixture does too and the empirical mean always stays in the UP set
     up_ok = True
@@ -312,27 +288,41 @@ def test_criterion_3_up_time_uniform_coverage():
 
 
 def test_criterion_4_audit_stopping_times_smoke():
+    # exact time-uniform miscoverage of the PPR audit by dynamic programming
+    # over the drawn counts, and run_experiment's coverage at (60,25,15)
+    # within 3 binomial standard errors of it
+    exact = {c: exact_miscoverage(c, DELTA)
+             for c in ((6, 3, 2), (30, 20), (60, 25, 15))}
+    trials = 200
     cfg = ExperimentConfig(
-        preset="custom", census=(60, 25, 15), trials=200, delta=DELTA,
-        seed=17, methods=("wor-kt", "ppr"),
+        preset="custom", census=(60, 25, 15), trials=trials, delta=DELTA,
+        seed=17, methods=("ppr",),
     )
-    s = run_experiment(cfg)["summary"]
-    ratio = s["mean_stop_ratio"]
-    _verdict(f"audit smoke (N=100): mean stop ratio {ratio:.3f} < 1", ratio < 1.0)
+    coverage = run_experiment(cfg)["summary"]["coverage"]["ppr"]
+    p = 1.0 - exact[(60, 25, 15)]
+    se = math.sqrt(p * (1.0 - p) / trials)
+    _verdict(
+        "audit smoke: exact PPR miscoverage "
+        + ", ".join(f"{c} {v:.6f}" for c, v in exact.items())
+        + f" <= {DELTA}; coverage {coverage:.3f} at (60,25,15) within "
+        f"3 SE of {p:.4f}",
+        all(v <= DELTA for v in exact.values()) and abs(coverage - p) <= 3 * se,
+    )
 
 
 def test_criterion_4_audit_stopping_times_desk_scale():
     cfg = ExperimentConfig(
         preset="custom", census=(600, 250, 150), trials=100, delta=DELTA,
-        seed=11, methods=("wor-kt", "ppr"),
+        seed=11, methods=("ppr",),
     )
-    s = run_experiment(cfg)["summary"]
-    ratio = s["mean_stop_ratio"]
-    frac = s["frac_kt_no_later"]
+    res = run_experiment(cfg)
+    coverage = res["summary"]["coverage"]["ppr"]
+    stops = res["rows"].stop_t
     _verdict(
-        f"audit desk scale (N=1000): mean stop ratio {ratio:.3f} in [0.60, 0.90], "
-        f"plug-in no later on {frac:.2f} >= 0.95 of permutations",
-        0.60 <= ratio <= 0.90 and frac >= 0.95,
+        f"audit desk scale (N=1000): PPR coverage {coverage:.2f} >= 0.93, "
+        f"every permutation decided before N (mean stop "
+        f"{res['summary']['mean_stop']['ppr']:.2f}, max {stops.max()})",
+        coverage >= 0.93 and stops.max() < 1000,
     )
 
 
@@ -358,22 +348,11 @@ def test_criterion_5_spot_values():
     up = UPState(2).absorb(np.array([0.75, 0.25]))
     close(up.log_wealth(np.array([0.25, 0.75])), math.log(5.0 / 3.0))
 
-    close(wor_kt_log_wealth(np.array([2, 0]), np.array([0.75, 0.25]), 4),
-          math.log(1.5))
-    checks.append(
-        wor_kt_log_wealth(np.array([1, 0]), np.array([0.5, 0.5]), 2) == math.inf
-    )
     close(ppr_log_wealth(np.array([1, 0]), np.array([1, 1])), 0.0)
     close(ppr_log_wealth(np.array([2, 0]), np.array([3, 1])), math.log(0.75))
     d2 = np.array([[1.0, 0.0], [1.0, 0.0]])
     close(perround_wor_log_wealth(d2, np.array([0.75, 0.25]), 4),
           math.log(0.75))
-    checks.append(
-        np.allclose(
-            wor_mean_transform(np.array([0.5, 0.5]), np.array([1, 0]), 4),
-            [1.0 / 3.0, 2.0 / 3.0],
-        )
-    )
 
     close(sanov_radius(10, 3, DELTA), 1.018937, tol=1e-5)
     close(mardia_radius(100, 3, DELTA), 0.087638, tol=1e-5)

@@ -59,18 +59,18 @@ def test_wealth_subcommand_wor(tmp_path, capsys):
     p = tmp_path / "obs.csv"
     p.write_text("1\n1\n")
     rc = main([
-        "wealth", "--method", "wor-kt", "--obs", str(p),
+        "wealth", "--method", "ppr", "--obs", str(p),
         "--m", "0.75,0.25", "--n", "4",
     ])
     assert rc == 0
     out = float(capsys.readouterr().out.strip())
-    assert out == pytest.approx(math.log(1.5), abs=1e-9)
-    rc = main([
-        "wealth", "--method", "ppr", "--obs", str(p),
-        "--m", "0.75,0.25", "--n", "4",
-    ])
-    out = float(capsys.readouterr().out.strip())
     assert out == pytest.approx(math.log(0.75), abs=1e-9)
+    # ppr is the only WoR wealth; argparse rejects any other name
+    with pytest.raises(SystemExit) as exc:
+        main(["wealth", "--method", "wor-kt", "--obs", str(p), "--m", "0.75,0.25",
+              "--n", "4"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'wor-kt'" in capsys.readouterr().err
 
 
 def test_simulate_subcommand(tmp_path, capsys):
@@ -188,6 +188,18 @@ def test_wor_stream_bad_line_exits_2(tmp_path, capsys, text, bad_line,
     (["wor", "--census", "0,0"], "wor: census (0, 0) needs 2 or more"),
     (["wor", "--census", "3,-2", "--stream", "--obs", "unread"],
      "wor --stream: census (3, -2) needs 2 or more"),
+    (["wor", "--census", "6,3,2", "--delta", "0"],
+     "wor: delta must lie in (0, 1)"),
+    (["wor", "--census", "6,3,2", "--stream", "--obs", "unread", "--delta", "0"],
+     "wor --stream: delta must lie in (0, 1)"),
+    (["wor", "--census", "6,3,2", "--permutations", "0"],
+     "wor: trials must be >= 1"),
+    (["wor", "--census", "6,3,2", "--alpha", "-1"], "wor: alpha must be positive"),
+    (["simulate", "--t", "3", "--alpha", "0"], "simulate: alpha must be positive"),
+    (["simulate", "--t", "3", "--grid", "0"],
+     "simulate: grid resolution must be >= 1"),
+    (["wealth", "--method", "kt", "--obs", "unread", "--m", "0.5,0.5",
+      "--alpha", "-1"], "wealth: Dirichlet prior requires positive alpha"),
 ])
 def test_rejected_config_exits_2(argv, error, capsys):
     # a method name of the wrong kind, or a bad level, mu, concentration or
@@ -211,3 +223,32 @@ def test_simulate_preset_fig2(tmp_path, capsys):
     assert summary["N"] == 10
     assert set(summary["mean_stop"]) == {"ppr"}
     assert len(out.read_text().strip().split("\n")) == 1 + 4
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["confset", "--method", "kt", "--delta", "0.05", "--grid", "0"],
+     "confset: grid resolution 0 must be >= 1"),
+    (["confset", "--method", "up", "--delta", "1.5"],
+     "confset: delta must lie in (0, 1)"),
+    (["wealth", "--method", "kt", "--m", "0.5,0.5"],
+     "wealth: category 3 is not in 1..2"),
+    (["wealth", "--method", "ppr", "--m", "1,0,0", "--n", "3"],
+     "wealth: ppr_log_wealth requires sum(drawn) <= N - 1"),
+    (["wealth", "--method", "ppr", "--m", "0.5,0.5,0", "--n", "3"],
+     "wealth: --n 3 times --m is not an integer census of 3"),
+    (["wealth", "--method", "ppr", "--m", "0.5,0.5,0.5", "--n", "4"],
+     "wealth: --n 4 times --m is not an integer census of 4"),
+])
+def test_bad_input_exits_2(tmp_path, capsys, argv, error):
+    # an explicit 0 is used, not replaced by a default, and a value the
+    # library rejects ends the command with a one-line error, not a
+    # traceback; the observations are 4 draws of 3 categories
+    obs = tmp_path / "obs.csv"
+    obs.write_text("1\n2\n3\n1\n")
+    argv = argv + ["--obs", str(obs)]
+    if argv[0] == "confset":
+        argv += ["--out", str(tmp_path / "set.csv")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(error)

@@ -9,7 +9,6 @@ from simplexcs.confset import (
     kt_kl_threshold,
     log_threshold,
     membership,
-    realize_on_grid,
     simplex_candidate_grid,
     thm3b_lower_bound,
     thm3c_asymptotic_threshold,
@@ -118,6 +117,8 @@ def test_candidate_grid():
     assert cands.shape == (66, 3)
     assert np.allclose(cands.sum(axis=1), 1.0)
     assert np.all(cands >= 0.0)
+    with pytest.raises(ValueError):  # 0 / 0 would give NaN candidates
+        simplex_candidate_grid(3, 0)
 
 
 def test_confidence_set_lifecycle():
@@ -154,9 +155,8 @@ def test_confidence_set_update_validates():
 def test_relative_volume_spot_case():
     # counts (2, 0), delta 0.05, grid G=4: boundary at m_1 ~ 0.1369
     cands = simplex_candidate_grid(2, 4)
-    cs = realize_on_grid(
-        lambda c: kt_log_wealth_many(np.array([2.0, 0.0]), c), cands, 0.05
-    )
+    cs = ConfidenceSet(cands, 0.05).update(
+        kt_log_wealth_many(np.array([2.0, 0.0]), cands))
     assert cs.relative_volume() == pytest.approx(0.8, abs=1e-12)
     surviving = cs.candidates[cs.active][:, 0]
     assert set(np.round(surviving, 6)) == {0.25, 0.5, 0.75, 1.0}
@@ -164,9 +164,8 @@ def test_relative_volume_spot_case():
 
 def test_to_csv_round_trip(tmp_path):
     cands = simplex_candidate_grid(2, 4)
-    cs = realize_on_grid(
-        lambda c: kt_log_wealth_many(np.array([2.0, 0.0]), c), cands, 0.05
-    )
+    cs = ConfidenceSet(cands, 0.05).update(
+        kt_log_wealth_many(np.array([2.0, 0.0]), cands))
     path = tmp_path / "set.csv"
     cs.to_csv(path)
     lines = path.read_text().strip().split("\n")
@@ -204,9 +203,7 @@ def test_active_set_midpoint_convexity():
     for _ in range(10):
         t = int(rng.integers(2, 25))
         counts = rng.multinomial(t, rng.dirichlet(np.ones(3))).astype(float)
-        cs = realize_on_grid(
-            lambda c: kt_log_wealth_many(counts, c), cands, 0.05
-        )
+        cs = ConfidenceSet(cands, 0.05).update(kt_log_wealth_many(counts, cands))
         act = np.flatnonzero(cs.active)
         for _ in range(200):
             i, j = rng.choice(act, size=2)

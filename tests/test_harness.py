@@ -26,7 +26,7 @@ from simplexcs.harness import (
     trial_rng,
 )
 from simplexcs.wealth import DirichletPrior
-from simplexcs.wor import AuditState
+from simplexcs.wor import METHODS, AuditState
 
 
 def _small_cfg(**kw):
@@ -44,6 +44,7 @@ def test_apply_preset_defaults():
     assert "kt" in cfg.methods and "cp-bonf" in cfg.methods
     cfg2 = apply_preset(ExperimentConfig(preset="fig2"))
     assert cfg2.census == (600, 250, 150)
+    assert cfg2.methods == ("ppr",)
     with pytest.raises(ValueError):
         apply_preset(ExperimentConfig(preset="fig3"))
     with pytest.raises(ValueError):
@@ -149,6 +150,20 @@ def test_emit_svg(tmp_path):
         emit(res, "parquet", str(tmp_path / "x"))
 
 
+def test_emit_svg_audit_histogram(tmp_path):
+    # an audit plots one stop-time histogram per method, whose outline
+    # runs from t = 1 to N + 1 at the x-axis ends
+    res = run_experiment(ExperimentConfig(census=(6, 3, 1), trials=5, seed=2))
+    path = tmp_path / "audit.svg"
+    emit(res, "svg", str(path))
+    text = path.read_text()
+    assert text.count("<polyline") == len(res["rows"].methods) == 1
+    assert ">ppr</text>" in text and "stop time t" in text
+    assert "KT / PPR" not in text
+    points = text.split('points="')[1].split('"')[0].split()
+    assert points[0] == "50.0,370.0" and points[-1] == "590.0,370.0"
+
+
 def test_config_json_round_trip(tmp_path):
     cfg = _small_cfg()
     path = tmp_path / "cfg.json"
@@ -164,21 +179,18 @@ def test_config_json_round_trip(tmp_path):
 def test_wor_experiment_summary():
     cfg = ExperimentConfig(
         preset="custom", census=(12, 5, 3), trials=20, delta=0.05, seed=1,
-        methods=("wor-kt", "ppr"),
     )
     res = run_experiment(cfg)
     assert res["kind"] == "wor"
     s = res["summary"]
     assert s["N"] == 20
-    assert set(s["mean_stop"]) == {"wor-kt", "ppr"}
-    assert len(s["stop_ratio_kt_over_ppr"]) == 20
-    # the plug-in kernel never decides later than PPR
-    assert s["frac_kt_no_later"] == 1.0
+    assert set(s) == {"population", "N", "mean_stop", "coverage"}
+    assert set(s["mean_stop"]) == {"ppr"}
     assert s["coverage"]["ppr"] >= 0.9
+    assert s["mean_stop"]["ppr"] == np.mean([r["stop_t"] for r in res["rows"]])
     for r in res["rows"]:
         assert 1 <= r["stop_t"] <= 20
-        # the plug-in kernel excludes the true census: not a CS
-        assert r["time_uniform"] is (r["method"] == "ppr")
+        assert r["time_uniform"] is True
 
 
 def test_kt_and_up_agree_on_categorical_data():
@@ -193,7 +205,7 @@ def test_kt_and_up_agree_on_categorical_data():
     assert v_kt == v_up
 
 
-@pytest.mark.parametrize("method", ["ppr", "wor-kt"])
+@pytest.mark.parametrize("method", METHODS)
 def test_wor_coverage_flag_equals_audit_state_exhaustive(method):
     # every label order of every census with K = 2, 3 and N <= 7: the
     # harness's coverage flag says whether the true census is still in the
@@ -210,11 +222,10 @@ def test_wor_coverage_flag_equals_audit_state_exhaustive(method):
                         state.absorb(label)
                     active = np.all(state.active_censuses() == census, axis=1)
                     covered = _truth_covered_wor(np.array(labels), census, N,
-                                                 K, delta, method, prior)
+                                                 K, delta, prior)
                     assert covered == bool(active.any()), (labels, delta)
                     outcomes.add(covered)
-    if method == "ppr":
-        assert outcomes == {True, False}
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("K", [2, 3, 4])

@@ -21,13 +21,12 @@ from simplexcs.wealth import (
     constant_bettor_log_wealth,
     kt_log_wealth,
     kt_log_wealth_many,
-    perround_wor_log_wealth,
     ppr_log_wealth,
     q_kt,
-    wor_kt_log_wealth,
     wor_log_wealth_many,
-    wor_mean_transform,
 )
+
+from oracles import perround_wor_log_wealth
 
 
 def test_prior_validation():
@@ -316,30 +315,6 @@ def test_up_absorb_checks_grid_cap_before_allocating(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_wor_mean_transform():
-    m = np.array([0.5, 0.5])
-    assert np.allclose(wor_mean_transform(m, np.zeros(2), 4), m)
-    assert np.allclose(
-        wor_mean_transform(m, np.array([1, 0]), 4), [1.0 / 3.0, 2.0 / 3.0]
-    )
-    assert np.allclose(wor_mean_transform(m, np.array([1, 0]), 2), [0.0, 1.0])
-    with pytest.raises(ValueError):
-        wor_mean_transform(m, np.array([1, 1]), 2)
-
-
-def test_wor_kt_spot_values():
-    assert wor_kt_log_wealth(np.zeros(2), np.array([0.5, 0.5]), 6) == pytest.approx(
-        0.0, abs=1e-12
-    )
-    assert wor_kt_log_wealth(
-        np.array([2, 0]), np.array([0.75, 0.25]), 4
-    ) == pytest.approx(math.log(1.5), abs=1e-9)
-    # exhaustion: remaining count of a drawn category hits zero
-    assert wor_kt_log_wealth(np.array([1, 0]), np.array([0.5, 0.5]), 2) == math.inf
-    with pytest.raises(ValueError):
-        wor_kt_log_wealth(np.array([2, 2]), np.array([0.5, 0.5]), 4)
-
-
 def test_perround_spot_values():
     d2 = np.array([[1.0, 0.0], [1.0, 0.0]])
     assert perround_wor_log_wealth(d2, np.array([0.75, 0.25]), 4) == pytest.approx(
@@ -432,47 +407,20 @@ def test_ppr_equals_perround_small_family():
                 assert a == pytest.approx(b, abs=1e-9)
 
 
-def test_wor_kt_dominates_ppr_small_family():
-    for census in map(np.array, [(3, 2), (4, 3), (3, 2, 2)]):
-        N = int(census.sum())
-        K = census.size
-        m = census / N
-        strict = False
-        for t in range(1, N):
-            for labels in itertools.product(range(K), repeat=t):
-                counts = np.bincount(labels, minlength=K)
-                if np.any(counts > census):
-                    continue
-                a = wor_kt_log_wealth(counts, m, N)
-                b = ppr_log_wealth(counts, census)
-                assert a >= b - 1e-9
-                rem = census - counts
-                if np.all(rem >= 1) and a > b + 1e-9:
-                    strict = True
-        assert strict
-
-
-def _row_form_wor_log_wealth(drawn, censuses, N, method, prior):
+def _row_form_wor_log_wealth(drawn, censuses, N, prior):
     # the kernel as it was written over (..., K) rows: a row sum per census
     a = drawn + prior.alpha
     q = gammaln(a).sum(axis=-1) - gammaln(a.sum(axis=-1)) - prior.log_beta
     t = drawn.sum(axis=-1)
     rem = censuses - drawn
     infeasible = np.any(rem < 0, axis=-1)
-    if method == "wor-kt":
-        infeasible |= np.any((rem == 0) & (drawn >= 1), axis=-1)
-        logint = np.log(np.maximum(np.arange(N + 1, dtype=float), 1.0))
-        w = q + (t * logint[N - t]
-                 - (drawn * logint[np.clip(rem, 1, None)]).sum(axis=-1))
-    else:
-        lgfact = gammaln(np.arange(N + 1, dtype=float) + 1.0)
-        w = q + (lgfact[N] - lgfact[N - t]) - (
-            lgfact[censuses] - lgfact[np.clip(rem, 0, None)]).sum(axis=-1)
+    lgfact = gammaln(np.arange(N + 1, dtype=float) + 1.0)
+    w = q + (lgfact[N] - lgfact[N - t]) - (
+        lgfact[censuses] - lgfact[np.clip(rem, 0, None)]).sum(axis=-1)
     return np.where(infeasible, math.inf, w)
 
 
-@pytest.mark.parametrize("method", ["ppr", "wor-kt"])
-def test_wor_log_wealth_many_equals_row_form(method):
+def test_wor_log_wealth_many_equals_row_form():
     # the category-leading kernel adds its terms in category order, which
     # is numpy's row sum for K <= 7: bit-equal there, 1e-9 beyond.  Audit
     # shape: one drawn vector against census columns; replay shape: running
@@ -490,10 +438,10 @@ def test_wor_log_wealth_many_equals_row_form(method):
             + [census])
         drawn = counts[rng.integers(N // 3)]
         pairs = (
-            (wor_log_wealth_many(drawn[:, None], grid.T, N, method, prior),
-             _row_form_wor_log_wealth(drawn, grid, N, method, prior)),
-            (wor_log_wealth_many(counts.T, census, N, method, prior),
-             _row_form_wor_log_wealth(counts, census, N, method, prior)),
+            (wor_log_wealth_many(drawn[:, None], grid.T, N, prior),
+             _row_form_wor_log_wealth(drawn, grid, N, prior)),
+            (wor_log_wealth_many(counts.T, census, N, prior),
+             _row_form_wor_log_wealth(counts, census, N, prior)),
         )
         assert np.isinf(pairs[0][1]).any()
         for new, ref in pairs:
@@ -505,7 +453,7 @@ def test_wor_log_wealth_many_equals_row_form(method):
                 assert np.allclose(new, ref, rtol=0.0, atol=1e-9)
     with pytest.raises(ValueError):  # K = 2 drawn against K = 3 censuses
         wor_log_wealth_many(np.ones((2, 1), dtype=int), np.ones((3, 4), dtype=int),
-                            6, method)
+                            6)
 
 
 @st.composite

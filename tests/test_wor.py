@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from simplexcs.confset import log_threshold
-from simplexcs.harness import gen_wor, trial_rng
+from simplexcs.harness import _truth_covered_wor, gen_wor, trial_rng
 from simplexcs.simplex import enumerate_grid
-from simplexcs.wealth import ppr_log_wealth, wor_kt_log_wealth, wor_log_wealth_many
+from simplexcs.wealth import ppr_log_wealth, wor_log_wealth_many
 from simplexcs.wor import (
+    METHODS,
     AuditState,
     category_count_bounds,
     rank_decided,
     stopping_time,
 )
+
+from oracles import exact_miscoverage
 
 
 def test_initial_state_all_active():
@@ -34,16 +37,6 @@ def test_ppr_single_draw_n2():
     assert np.array_equal(bounds[0], [1, 2])
 
 
-def test_wor_kt_single_draw_n2_excludes_true_census():
-    # the final plug-in kernel diverges for (1,1) once category 1 is
-    # exhausted relative to the drawn prefix; a known quirk of this variant
-    state = AuditState(2, 2, 0.05, method="wor-kt")
-    state.absorb(0)
-    act = {tuple(c) for c in state.active_censuses()}
-    assert (1, 1) not in act
-    assert (2, 0) in act
-
-
 def test_absorb_rejects_t_at_population():
     state = AuditState(2, 2, 0.05, method="ppr")
     state.absorb(0)
@@ -58,42 +51,19 @@ def test_state_wealth_matches_kernel_functions():
     census = np.array([4, 3, 2])
     N = int(census.sum())
     labels = gen_wor(census, rng)
-    for method, kernel in (
-        ("ppr", lambda d, c: ppr_log_wealth(d, c)),
-        ("wor-kt", lambda d, c: wor_kt_log_wealth(d, c / N, N)),
-    ):
-        state = AuditState(N, 3, 1e-9, method=method)  # tiny delta: no pruning
-        drawn = np.zeros(3, dtype=np.int64)
-        for t in range(1, N):
-            state.absorb(int(labels[t - 1]))
-            drawn[labels[t - 1]] += 1
-            act = state.active_censuses()
-            if act.shape[0] == 0:
-                break
-            w = wor_log_wealth_many(drawn[:, None], act.T, N, method)
-            for i in rng.choice(act.shape[0], size=5):
-                ref = kernel(drawn, act[i].astype(float))
-                if math.isinf(ref):
-                    assert math.isinf(w[i])
-                else:
-                    assert w[i] == pytest.approx(ref, abs=1e-9)
-
-
-def test_active_sets_nested_kt_inside_ppr():
-    # the plug-in kernel dominates PPR pointwise, so its active set is a
-    # subset of PPR's after every draw
-    rng = np.random.default_rng(11)
-    census = np.array([6, 3, 2])
-    N = int(census.sum())
-    labels = gen_wor(census, rng)
-    kt = AuditState(N, 3, 0.2, method="wor-kt")
-    pp = AuditState(N, 3, 0.2, method="ppr")
+    state = AuditState(N, 3, 1e-9)  # tiny delta: no pruning
+    drawn = np.zeros(3, dtype=np.int64)
     for t in range(1, N):
-        kt.absorb(int(labels[t - 1]))
-        pp.absorb(int(labels[t - 1]))
-        kt_act = {tuple(c) for c in kt.active_censuses()}
-        pp_act = {tuple(c) for c in pp.active_censuses()}
-        assert kt_act <= pp_act
+        state.absorb(int(labels[t - 1]))
+        drawn[labels[t - 1]] += 1
+        act = state.active_censuses()
+        w = wor_log_wealth_many(drawn[:, None], act.T, N)
+        for i in rng.choice(act.shape[0], size=5):
+            ref = ppr_log_wealth(drawn, act[i])
+            if math.isinf(ref):
+                assert math.isinf(w[i])
+            else:
+                assert w[i] == pytest.approx(ref, abs=1e-9)
 
 
 def test_rank_decided_requires_disjoint_intervals():
@@ -107,7 +77,7 @@ def test_stopping_time_brute_force_n4():
     # census (2,2) active through t=3 and never decide
     N, K = 4, 2
     results = {
-        order: stopping_time(list(order), N, K, 0.5, method="ppr")
+        order: stopping_time(list(order), N, K, 0.5)
         for order in sorted(set(itertools.permutations([0, 0, 0, 1])))
     }
     assert results[(0, 0, 0, 1)] == 2
@@ -119,7 +89,7 @@ def test_stopping_time_brute_force_n4():
 def test_stopping_time_sentinel():
     # delta so small nothing is ever excluded: the sentinel N is returned
     census = np.array([2, 2])
-    t = stopping_time([0, 1, 0], 4, 2, 1e-12, method="ppr")
+    t = stopping_time([0, 1, 0], 4, 2, 1e-12)
     assert t == 4
 
 
@@ -145,6 +115,22 @@ def test_ppr_true_census_coverage():
     assert failures / trials <= delta + 3 * math.sqrt(delta * (1 - delta) / trials)
 
 
+def test_exact_miscoverage_equals_permutation_enumeration():
+    # the DP over drawn counts against every distinct label order of small
+    # censuses, all equally likely under a uniform permutation, each scored
+    # by the harness's coverage flag
+    for census, delta in (((3, 2, 1), 0.5), ((4, 3), 0.2), ((4, 2, 1), 0.3)):
+        census = np.array(census)
+        N, K = int(census.sum()), census.size
+        orders = set(itertools.permutations(np.repeat(np.arange(K), census)))
+        missed = sum(not _truth_covered_wor(np.array(labels), census, N, K,
+                                            delta, None)
+                     for labels in orders)
+        assert missed > 0
+        assert exact_miscoverage(census, delta) == pytest.approx(
+            missed / len(orders), abs=1e-12)
+
+
 def test_empty_active_set_raises_diagnostic():
     # at delta = 0.6 the PPR set of N = 6, K = 2 is empty after the draws
     # 1, 1, 0, 0, 0; no bound or decision can be read off it
@@ -160,13 +146,7 @@ def test_empty_active_set_raises_diagnostic():
         rank_decided(state)
 
 
-def _scalar_kernel(method, N):
-    if method == "ppr":
-        return lambda drawn, census: ppr_log_wealth(drawn, census)
-    return lambda drawn, census: wor_kt_log_wealth(drawn, census / N, N)
-
-
-@pytest.mark.parametrize("method", ["ppr", "wor-kt"])
+@pytest.mark.parametrize("method", METHODS)
 def test_audit_state_equals_running_max_oracle_exhaustive(method):
     # every label order of every census with K = 2, N <= 9 and K = 3,
     # N <= 6: after each draw the engine's active censuses (in enumeration
@@ -179,13 +159,12 @@ def test_audit_state_equals_running_max_oracle_exhaustive(method):
     for K, n_max in ((2, 9), (3, 6)):
         for N in range(2, n_max + 1):
             grid = enumerate_grid(K, N)
-            kernel = _scalar_kernel(method, N)
             for labels in itertools.product(range(K), repeat=N - 1):
                 drawn = np.zeros(K, dtype=np.int64)
                 wealth = []
                 for label in labels:
                     drawn[label] += 1
-                    wealth.append([kernel(drawn, c) for c in grid])
+                    wealth.append([ppr_log_wealth(drawn, c) for c in grid])
                 running_max = np.maximum.accumulate(np.array(wealth), axis=0)
                 for delta, thr in threshold.items():
                     assert np.all(np.abs(running_max - thr) > 1e-9)
@@ -216,7 +195,7 @@ def test_scalar_ppr_membership_equals_audit_state_at_a_tie():
     # that census as the audit does
     drawn, census = np.array([2, 0, 0]), np.array([2, 0, 3])
     assert ppr_log_wealth(drawn, census) == wor_log_wealth_many(
-        drawn[:, None], census[:, None], 5, "ppr")[0]
+        drawn[:, None], census[:, None], 5)[0]
     assert ppr_log_wealth(drawn, census) >= -math.log(0.5)
     # every label order of length N - 1 at K = 3, N = 5: the running max of
     # the scalar below ln 2 is the audit's active set after every draw
@@ -239,16 +218,15 @@ class ColumnAudit:
     census of G(K, N) starts active, and each draw keeps the columns whose
     wealth under the vectorized kernel is below ln(1/delta)."""
 
-    def __init__(self, N, K, delta, method):
-        self.N, self.method = N, method
+    def __init__(self, N, K, delta):
+        self.N = N
         self.threshold = log_threshold(delta)
         self.drawn = np.zeros(K, dtype=np.int64)
         self.cols = np.ascontiguousarray(enumerate_grid(K, N).T)
 
     def absorb(self, category):
         self.drawn[category] += 1
-        w = wor_log_wealth_many(self.drawn[:, None], self.cols, self.N,
-                                self.method)
+        w = wor_log_wealth_many(self.drawn[:, None], self.cols, self.N)
         self.cols = np.compress(w < self.threshold, self.cols, axis=1)
 
     def bounds(self):
@@ -261,7 +239,7 @@ def _disjoint(bounds):
                for a, b in itertools.combinations(range(len(lo)), 2))
 
 
-@pytest.mark.parametrize("method", ["ppr", "wor-kt"])
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("delta", [0.05, 0.5])
 @pytest.mark.parametrize("census,perms", [
     ((600, 400), 3),
@@ -277,7 +255,7 @@ def test_line_engine_equals_column_oracle(census, perms, delta, method):
     for perm in range(perms):
         labels = gen_wor(census, trial_rng(41, perm))
         state, oracle = (AuditState(N, K, delta, method=method),
-                         ColumnAudit(N, K, delta, method))
+                         ColumnAudit(N, K, delta))
         stop = N
         for t, label in enumerate(labels[: N - 1], start=1):
             state.absorb(int(label))
@@ -292,7 +270,7 @@ def test_line_engine_equals_column_oracle(census, perms, delta, method):
             assert rank_decided(state) == decided
             if decided and stop == N:
                 stop = t
-        assert stopping_time(labels, N, K, delta, method=method) == stop
+        assert stopping_time(labels, N, K, delta) == stop
 
 
 def test_scan_scratch_is_bounded_at_large_n():

@@ -15,7 +15,7 @@ from scipy.special import betaincinv, gammaln
 from .confset import log_threshold
 # log_binomial_tail is not called here: it stays importable from this module
 # as the binomial-tail oracle for the Clopper-Pearson endpoints
-from .numerics import kl_divergence, log_binomial_tail, logsumexp  # noqa: F401
+from .numerics import kl_divergence, log_binomial_tail  # noqa: F401
 from .simplex import validate_count_vector, validate_prob_vector
 from .wealth import _resolve_prior
 
@@ -26,11 +26,11 @@ __all__ = [
     "mixture_log_wealth",
     "mixture_membership",
     "sanov_radius",
-    "sanov_set",
+    "sanov_ball",
     "sanov_membership",
     "mardia_gate",
     "mardia_radius",
-    "mardia_set",
+    "mardia_ball",
     "mardia_membership",
     "clopper_pearson_interval",
 ]
@@ -73,7 +73,7 @@ def bonferroni_membership(coord_log_wealths, delta):
 def mixture_log_wealth(coord_log_wealths):
     """Log of the mean of the K coordinate wealths, over the last axis."""
     w = np.asarray(coord_log_wealths, dtype=float)
-    return logsumexp(w, axis=-1) - math.log(w.shape[-1])
+    return np.logaddexp.reduce(w, axis=-1) - math.log(w.shape[-1])
 
 
 def mixture_membership(coord_log_wealths, delta):
@@ -88,16 +88,16 @@ def sanov_radius(t, K, delta):
     return -math.log(delta) / t + K / t * math.log(t + 1.0)
 
 
-def sanov_set(mu_hat, t, cands, delta):
-    """Mask of the rows of the (A, K) block cands in the Sanov KL ball
-    around mu_hat."""
-    return kl_divergence(mu_hat, cands) < sanov_radius(t, cands.shape[1], delta)
+def sanov_ball(kl, t, K, delta):
+    """Mask of the divergences kl = D(mu_hat || m), an array over candidates
+    m, inside the Sanov KL ball."""
+    return kl < sanov_radius(t, K, delta)
 
 
 def sanov_membership(mu_hat, m, t, delta):
     mu_hat = validate_prob_vector(mu_hat)
     m = validate_prob_vector(m)
-    return bool(sanov_set(mu_hat, t, m[None, :], delta)[0])
+    return bool(sanov_ball(kl_divergence(mu_hat, m), t, m.size, delta))
 
 
 def mardia_gate(K):
@@ -110,14 +110,13 @@ def mardia_radius(t, K, delta):
     return (K - 1) / t * math.log(2.0 * (K - 1) / delta)
 
 
-def mardia_set(mu_hat, t, cands, delta):
-    """Mask of the rows of the (A, K) block cands in the Mardia KL ball
-    around mu_hat.  Below the applicability gate the method makes no claim,
-    and the mask is the whole block."""
-    K = cands.shape[1]
+def mardia_ball(kl, t, K, delta):
+    """Mask of the divergences kl = D(mu_hat || m), an array over candidates
+    m, inside the Mardia KL ball.  Below the applicability gate the method
+    makes no claim, and the mask is all true."""
     if t < mardia_gate(K):
-        return np.ones(cands.shape[0], dtype=bool)
-    return kl_divergence(mu_hat, cands) < mardia_radius(t, K, delta)
+        return np.ones(np.shape(kl), dtype=bool)
+    return kl < mardia_radius(t, K, delta)
 
 
 def mardia_membership(mu_hat, m, t, delta):
@@ -126,7 +125,7 @@ def mardia_membership(mu_hat, m, t, delta):
     m = validate_prob_vector(m)
     if t < mardia_gate(mu_hat.size):
         return None
-    return bool(mardia_set(mu_hat, t, m[None, :], delta)[0])
+    return bool(mardia_ball(kl_divergence(mu_hat, m), t, m.size, delta))
 
 
 def clopper_pearson_interval(k, n, delta_prime):

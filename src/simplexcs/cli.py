@@ -17,7 +17,8 @@ import numpy as np
 from .boxreduce import embed
 from .confset import simplex_candidate_grid
 from .harness import DEFAULT_GRID, ExperimentConfig, apply_preset, check_census, emit
-from .harness import run_experiment, running_set
+from .harness import Levels, SetRunner, run_experiment
+from .simplex import GridCapExceeded
 from .wealth import DirichletPrior, UPState, kt_log_wealth, ppr_log_wealth
 from .wor import AuditState, category_count_bounds, rank_decided
 
@@ -78,13 +79,14 @@ def _cmd_simulate(args):
 def _run(cmd, cfg, out=None, svg=None):
     """Run an experiment, write its artifacts and print its summary line:
     the audit summary, or each method's final mean volume.  A config that
-    apply_preset rejects exits 2 with a one-line error."""
+    apply_preset rejects, or a grid over GRID_CAP, exits 2 with a one-line
+    error."""
     try:
         cfg = apply_preset(cfg)
-    except ValueError as exc:
+        result = run_experiment(cfg)
+    except (ValueError, GridCapExceeded) as exc:
         print(f"{cmd}: {exc}", file=sys.stderr)
         return 2
-    result = run_experiment(cfg)
     if out:
         emit(result, "csv", out)
         emit(result, "json", out + ".json")
@@ -184,18 +186,17 @@ def _cmd_confset(args):
     try:
         obs = load_observations(args.obs, box=args.box)
         K = obs.shape[1]
-        grid = DEFAULT_GRID.get(K, 20) if args.grid is None else args.grid
-        prior = DirichletPrior(np.full(K, args.alpha))
-        state, cs = running_set(args.method, simplex_candidate_grid(K, grid),
-                                args.delta, prior)
+        G = DEFAULT_GRID.get(K, 20) if args.grid is None else args.grid
+        grid = simplex_candidate_grid(K, G)
+        runner = SetRunner(args.method, Levels(grid, grid[:0]), args.delta,
+                           DirichletPrior(np.full(K, args.alpha)))
         for y in obs:
-            state = state.absorb(y)
-            cs.update(state.log_wealth_many(cs.active_candidates()))
-    except ValueError as exc:
+            runner.step(y)
+    except (ValueError, GridCapExceeded) as exc:
         print(f"confset: {exc}", file=sys.stderr)
         return 2
-    cs.to_csv(args.out)
-    print(json.dumps({"relative_volume": cs.relative_volume()}))
+    runner.cs.to_csv(args.out)
+    print(json.dumps({"relative_volume": runner.cs.relative_volume()}))
     return 0
 
 

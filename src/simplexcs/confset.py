@@ -82,7 +82,12 @@ def simplex_candidate_grid(K, G):
 
 
 class ConfidenceSet:
-    """Candidate grid + per-candidate running-max log-wealth at level delta."""
+    """Candidate grid + per-candidate running-max log-wealth at level delta.
+
+    The active rows' indices and running max are stored compacted, in grid
+    order, and compressed only on an update that excludes some; an excluded
+    row's running max is kept as it was when it left.
+    """
 
     def __init__(self, candidates, delta):
         candidates = np.asarray(candidates, dtype=float)
@@ -91,14 +96,33 @@ class ConfidenceSet:
         self.candidates = candidates
         self.threshold = log_threshold(delta)
         self.delta = delta
-        self.running_max = np.zeros(candidates.shape[0])
-        self.active = np.ones(candidates.shape[0], dtype=bool)
+        A = candidates.shape[0]
+        self._rows = np.arange(A)
+        self._rm = np.zeros(A)
+        self._left = np.zeros(A)  # running max of the excluded rows
+
+    @property
+    def active(self):
+        """(A,) mask of the active candidates."""
+        out = np.zeros(self.candidates.shape[0], dtype=bool)
+        out[self._rows] = True
+        return out
+
+    @property
+    def running_max(self):
+        """(A,) running-max log-wealth of every candidate."""
+        out = self._left.copy()
+        out[self._rows] = self._rm
+        return out
+
+    def active_count(self):
+        return self._rows.size
 
     def active_indices(self):
-        return np.flatnonzero(self.active)
+        return self._rows
 
     def active_candidates(self):
-        return self.candidates[self.active]
+        return self.candidates[self._rows]
 
     def update(self, log_wealth_active):
         """Fold in fresh log-wealth for the currently active candidates.
@@ -106,31 +130,34 @@ class ConfidenceSet:
         log_wealth_active must be aligned with active_indices(); inactive
         candidates are never re-evaluated.  Returns self.
         """
-        idx = self.active_indices()
         lw = np.asarray(log_wealth_active, dtype=float)
-        if lw.shape != idx.shape:
+        if lw.shape != self._rows.shape:
             raise ValueError("log-wealth length must match the active count")
         if np.any(np.isnan(lw)):
             raise ValueError("log-wealth contains NaN")
-        rm = np.maximum(self.running_max[idx], lw)
-        self.running_max[idx] = rm
-        self.active[idx] = rm < self.threshold
+        rm = np.maximum(self._rm, lw)
+        keep = rm < self.threshold
+        if keep.all():
+            self._rm = rm
+        else:
+            self._left[self._rows[~keep]] = rm[~keep]
+            self._rows = self._rows[keep]
+            self._rm = rm[keep]
         return self
 
     def relative_volume(self):
-        return float(self.active.mean())
+        return self._rows.size / self.candidates.shape[0]
 
     def to_csv(self, path):
         """One row per candidate: coordinates, running max log-wealth, active."""
+        running_max, active = self.running_max, self.active
         with open(path, "w") as fh:
             K = self.candidates.shape[1]
             cols = ",".join(f"m{j + 1}" for j in range(K))
             fh.write(f"{cols},running_max_log_wealth,active\n")
             for i in range(self.candidates.shape[0]):
                 coords = ",".join(f"{c:.12g}" for c in self.candidates[i])
-                fh.write(
-                    f"{coords},{self.running_max[i]:.12g},{int(self.active[i])}\n"
-                )
+                fh.write(f"{coords},{running_max[i]:.12g},{int(active[i])}\n")
 
 
 def boundary_radius(member, center, direction, iters=16):

@@ -12,18 +12,24 @@ import numpy as np
 from .baselines import (
     clopper_pearson_interval,
     coordinate_log_wealths_many,
-    mardia_set,
+    mardia_ball,
     mixture_log_wealth,
-    sanov_set,
+    sanov_ball,
 )
 from .confset import ConfidenceSet, log_threshold, simplex_candidate_grid
+from .numerics import _kl_terms
 from .simplex import validate_count_vector, validate_prob_vector
 from .wealth import (
     DirichletPrior,
     UPState,
-    kt_log_wealth_many,
+    _kt_finish,
+    _kt_terms,
     wor_log_wealth_many,
 )
+# kt_log_wealth_many is not called here, as the KT set is evaluated on
+# coordinate levels: it stays a name here for perfbench/tracing.py, which
+# patches it
+from .wealth import kt_log_wealth_many  # noqa: F401
 from . import wor
 # rank_decided stays a name here: perfbench/tracing.py patches it
 from .wor import AuditState, rank_decided  # noqa: F401
@@ -210,125 +216,179 @@ def gen_wor(census, rng):
 # ---------------------------------------------------------------------------
 
 
-class _Counts:
-    """Running counts of the observations, as a wealth state: absorb(y) and
-    log_wealth_many(cands), like UPState.  kernel(counts, t, cands) gives
-    the log-wealth of an (A, K) candidate block."""
+class Levels:
+    """Candidate rows, then truth rows, factored by coordinate value.
 
-    def __init__(self, K, kernel):
-        self.counts = np.zeros(K)
+    `matrix` is the (L, K) level matrix whose row l is (v_l, ..., v_l), for
+    v_0 < ... < v_(L-1) the distinct entries of the block, and flat[a, j] =
+    l * K + j is the position of block[a, j] in it.  A kernel that treats
+    each coordinate alone, evaluated on the level matrix and gathered with
+    table.ravel()[flat], equals the kernel on the block entry for entry; a
+    resolution-G grid has G + 1 levels.  The truth rows after the A
+    candidates (a simulation's truth, or none) are evaluated with them but
+    never excluded.
+
+    block and flat are column-major, and row gathers keep that layout, so
+    reductions over a gathered block's coordinates run down contiguous
+    columns (several times faster than along short rows) and add the
+    coordinates in order, as numpy does along a row-major row below K = 8.
+    """
+
+    def __init__(self, candidates, truth):
+        self.A = candidates.shape[0]
+        self.block = np.asfortranarray(np.vstack([candidates, truth]))
+        self.K = self.block.shape[1]
+        values, inverse = np.unique(self.block, return_inverse=True)
+        self.matrix = np.repeat(values[:, None], self.K, axis=1)
+        self.flat = np.asfortranarray(
+            inverse.reshape(self.block.shape) * self.K + np.arange(self.K))
+
+
+class _LevelCounts:
+    """Running counts as a wealth state on a Levels block: absorb(y), and
+    log_wealth_many(rows), the log wealth at an (n, K) block of positions in
+    the level matrix, from kernel(counts, t, matrix, rows, prior)."""
+
+    def __init__(self, levels, kernel, prior):
+        self.counts = np.zeros(levels.K)
         self.t = 0
+        self.matrix = levels.matrix
         self.kernel = kernel
+        self.prior = prior
 
     def absorb(self, y):
         self.counts = self.counts + y
         self.t += 1
         return self
 
-    def log_wealth_many(self, cands):
-        return self.kernel(self.counts, self.t, cands)
+    def log_wealth_many(self, rows):
+        return self.kernel(self.counts, self.t, self.matrix, rows, self.prior)
 
 
-def _kt2_mix(counts, t, cands):
+def _kt_levels(counts, t, matrix, rows, prior):
+    """The KT log wealth: its per-coordinate terms, summed over each row."""
+    return _kt_finish(_kt_terms(counts, matrix).ravel()[rows], counts, prior)
+
+
+def _kt2_mix_levels(counts, t, matrix, rows, prior):
     """Log of the mean of the K coordinatewise KT(2) wealths."""
-    return mixture_log_wealth(coordinate_log_wealths_many(counts, t, cands))
+    return mixture_log_wealth(
+        coordinate_log_wealths_many(counts, t, matrix, prior).ravel()[rows])
 
 
-def _kt2_max(counts, t, cands):
+def _kt2_max_levels(counts, t, matrix, rows, prior):
     """The largest coordinatewise KT(2) log wealth."""
-    return coordinate_log_wealths_many(counts, t, cands).max(axis=1)
+    w = coordinate_log_wealths_many(counts, t, matrix, prior)
+    return w.ravel()[rows].max(axis=1)
 
 
-# running-max methods: name -> wealth state for (K, prior); the kernels are
-# looked up when called, so a patched module global is seen
+# running-max methods: name -> (wealth state, the rows of the Levels block it
+# is evaluated at) for (levels, prior): UP, which does not act on each
+# coordinate alone, takes the candidates themselves, and the KT(2) bettors
+# mix over the two-horse Jeffreys prior
 _SET_STATES = {
-    "kt": lambda K, prior: _Counts(
-        K, lambda counts, t, cands: kt_log_wealth_many(counts, cands, prior)),
-    "up": lambda K, prior: UPState(K, prior=prior),
-    "kt2-mix": lambda K, prior: _Counts(K, _kt2_mix),
-    "kt2-bonf": lambda K, prior: _Counts(K, _kt2_max),
+    "kt": lambda levels, prior: (
+        _LevelCounts(levels, _kt_levels, prior), levels.flat),
+    "up": lambda levels, prior: (UPState(levels.K, prior=prior), levels.block),
+    "kt2-mix": lambda levels, prior: (
+        _LevelCounts(levels, _kt2_mix_levels, DirichletPrior.jeffreys(2)),
+        levels.flat),
+    "kt2-bonf": lambda levels, prior: (
+        _LevelCounts(levels, _kt2_max_levels, DirichletPrior.jeffreys(2)),
+        levels.flat),
 }
 
 
-def running_set(method, candidates, delta, prior):
-    """A fresh wealth state and ConfidenceSet for a running-max method.
+class SetRunner:
+    """A running-max method's ConfidenceSet over the candidates of a Levels
+    block.  Each step the wealth state absorbs the observation and is
+    evaluated at the active rows, then the truth rows, in one call; those
+    rows are kept compacted and rebuilt only on a step that excludes some.
 
     kt2-bonf's set has level delta / K: every coordinate's running max stays
     below ln(K / delta) exactly when the running max of the largest does.
     """
-    K = candidates.shape[1]
-    if method == "kt2-bonf":
-        delta = delta / K
-    return _SET_STATES[method](K, prior), ConfidenceSet(candidates, delta)
 
-
-class SetRunner:
-    """A wealth state folded into a ConfidenceSet each step; the truth is
-    evaluated in the same block as the active candidates."""
-
-    def __init__(self, method, candidates, truth, delta, prior):
-        self.state, self.cs = running_set(method, candidates, delta, prior)
-        self.truth = truth
-        self.truth_max = 0.0
+    def __init__(self, method, levels, delta, prior):
+        if method == "kt2-bonf":
+            delta = delta / levels.K
+        self.cs = ConfidenceSet(levels.block[: levels.A], delta)
+        self.state, self.source = _SET_STATES[method](levels, prior)
+        self.truth_rows = np.arange(levels.A, levels.block.shape[0])
+        self.rows = self.source
+        self.truth_max = np.zeros(self.truth_rows.size)
 
     def step(self, y):
         self.state = self.state.absorb(y)
-        block = np.vstack([self.cs.active_candidates(), self.truth[None, :]])
-        lw = self.state.log_wealth_many(block)
-        self.cs.update(lw[:-1])
-        self.truth_max = max(self.truth_max, float(lw[-1]))
+        lw = self.state.log_wealth_many(self.rows)
+        n = self.cs.active_count()
+        self.cs.update(lw[:n])
+        self.truth_max = np.maximum(self.truth_max, lw[n:])
+        if self.cs.active_count() < n:
+            self.rows = self.source[
+                np.concatenate([self.cs.active_indices(), self.truth_rows])]
 
     def metrics(self):
         return (
             self.cs.relative_volume(),
-            self.truth_max < self.cs.threshold,
-            int(self.cs.active.sum()),
+            bool(np.all(self.truth_max < self.cs.threshold)),
+            self.cs.active_count(),
         )
 
 
-def _cp_bonf_set(counts, t, cands, delta):
+def _kl_levels(mu_hat, levels):
+    """D(mu_hat || m) at each row m of a Levels block, from the KL terms on
+    the level matrix."""
+    return _kl_terms(mu_hat, levels.matrix).ravel()[levels.flat].sum(axis=1)
+
+
+def _cp_bonf_levels(counts, t, levels, delta):
     """Product of coordinate Clopper-Pearson intervals at delta / K."""
     lo, hi = clopper_pearson_interval(
-        np.rint(counts).astype(np.int64), t, delta / cands.shape[1])
-    return np.all((cands >= lo) & (cands <= hi), axis=1)
+        np.rint(counts).astype(np.int64), t, delta / levels.K)
+    box = (levels.matrix >= lo) & (levels.matrix <= hi)
+    return box.ravel()[levels.flat].all(axis=1)
 
 
 # non-time-uniform methods, whose rows are not a confidence sequence: name ->
-# the mask of an (A, K) candidate block in the set built afresh from
+# the mask of the rows of a Levels block in the set built afresh from
 # (counts, t) at level delta
 _FRESH_SETS = {
-    "sanov": lambda counts, t, cands, delta: sanov_set(counts / t, t, cands, delta),
-    "mardia": lambda counts, t, cands, delta: mardia_set(counts / t, t, cands, delta),
-    "cp-bonf": _cp_bonf_set,
+    "sanov": lambda counts, t, levels, delta: sanov_ball(
+        _kl_levels(counts / t, levels), t, levels.K, delta),
+    "mardia": lambda counts, t, levels, delta: mardia_ball(
+        _kl_levels(counts / t, levels), t, levels.K, delta),
+    "cp-bonf": _cp_bonf_levels,
 }
 
 
 class FreshRunner:
-    """A set rebuilt from the running counts each step; the truth is the last
-    row of the candidate block, so it is tested by the same call."""
+    """A set rebuilt over a Levels block from the running counts each step;
+    the truth rows are tested by the same call."""
 
-    def __init__(self, method, candidates, truth, delta):
+    def __init__(self, method, levels, delta):
         self.fresh_set = _FRESH_SETS[method]
-        self.block = np.vstack([candidates, truth[None, :]])
+        self.levels = levels
         self.delta = delta
-        self.counts = np.zeros(candidates.shape[1])
+        self.counts = np.zeros(levels.K)
         self.t = 0
-        self.mask = np.ones(self.block.shape[0], dtype=bool)
+        self.mask = np.ones(levels.block.shape[0], dtype=bool)
 
     def step(self, y):
         self.counts = self.counts + y
         self.t += 1
-        self.mask = self.fresh_set(self.counts, self.t, self.block, self.delta)
+        self.mask = self.fresh_set(self.counts, self.t, self.levels, self.delta)
 
     def metrics(self):
-        inside = self.mask[:-1]
-        return float(inside.mean()), bool(self.mask[-1]), int(inside.sum())
+        inside = self.mask[: self.levels.A]
+        return (float(inside.mean()), bool(self.mask[self.levels.A:].all()),
+                int(inside.sum()))
 
 
-def _make_runner(method, candidates, truth, delta, prior):
+def _make_runner(method, levels, delta, prior):
     if method in _FRESH_SETS:
-        return FreshRunner(method, candidates, truth, delta)
-    return SetRunner(method, candidates, truth, delta, prior)
+        return FreshRunner(method, levels, delta)
+    return SetRunner(method, levels, delta, prior)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +406,7 @@ def _simulate(cfg):
         truth = conc / conc.sum()
     else:
         truth = np.asarray(cfg.mu)
+    levels = Levels(candidates, truth[None, :])
     shape = (len(cfg.methods), cfg.trials, T + 1)
     volume = np.ones(shape)
     covered = np.ones(shape, dtype=bool)
@@ -356,10 +417,8 @@ def _simulate(cfg):
             data = gen_dirichlet(cfg.concentration, T, rng)
         else:
             data = gen_categorical(truth, T, rng)
-        runners = [
-            _make_runner(m, candidates, truth, cfg.delta, prior)
-            for m in cfg.methods
-        ]
+        runners = [_make_runner(m, levels, cfg.delta, prior)
+                   for m in cfg.methods]
         for t in range(1, T + 1):
             for i, runner in enumerate(runners):
                 runner.step(data[t - 1])

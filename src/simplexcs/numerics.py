@@ -42,11 +42,16 @@ def kl_divergence(p, q):
     q = np.asarray(q, dtype=float)
     if p.ndim != 1 or q.ndim > 2 or q.shape[-1:] != p.shape:
         raise ValueError("kl_divergence: dimension mismatch")
-    mask = p > 0.0
-    pm = p[mask]
-    with np.errstate(divide="ignore"):
-        kl = np.sum(pm * (np.log(pm) - np.log(q[..., mask])), axis=-1)
+    kl = np.sum(_kl_terms(p, q), axis=-1)
     return float(kl) if q.ndim == 1 else kl
+
+
+def _kl_terms(p, q):
+    """The per-coordinate terms of D(p || q), p_j (ln p_j - ln q_j),
+    elementwise over q (..., K), and 0 where p_j = 0; D(p || q) is their
+    sum."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0.0, p * (np.log(p) - np.log(q)), 0.0)
 
 
 def shannon_entropy(p):

@@ -90,15 +90,26 @@ def kt_log_wealth_many(counts, cands, prior=None):
     """Vectorized kt_log_wealth over an (A, K) array of candidate means.
 
     Coordinates below 0, such as those in [-tol, 0) that
-    validate_prob_vector accepts, count as 0.
+    validate_prob_vector accepts, count as 0.  The per-coordinate terms
+    (_kt_terms, which the harness also evaluates on coordinate levels) are
+    summed by _kt_finish.
     """
     counts = np.asarray(counts, dtype=float)
+    return _kt_finish(_kt_terms(counts, cands), counts, prior)
+
+
+def _kt_terms(counts, cands):
+    """The per-coordinate terms of the KT log wealth, -k_j ln m_j, elementwise
+    over candidates (..., K): 0 where k_j = 0, +inf where m_j = 0 < k_j."""
     cands = np.maximum(np.asarray(cands, dtype=float), 0.0)
-    q = q_kt(counts, prior)
     with np.errstate(divide="ignore", invalid="ignore"):
-        neglog = -np.log(cands)
-        terms = np.where(counts[None, :] > 0.0, neglog * counts[None, :], 0.0)
-    return terms.sum(axis=1) + q
+        return np.where(counts > 0.0, -np.log(cands) * counts, 0.0)
+
+
+def _kt_finish(terms, counts, prior):
+    """The KT log wealth of each row of an (A, K) block of _kt_terms: the
+    row sum plus log q(k)."""
+    return terms.sum(axis=1) + q_kt(counts, prior)
 
 
 def constant_bettor_log_wealth(obs, b, m):
@@ -131,8 +142,12 @@ def constant_bettor_log_wealth(obs, b, m):
 # Universal portfolio dynamic program
 # ---------------------------------------------------------------------------
 
-# candidate rows per matmul block in UPState.log_wealth_many
+# UPState.log_wealth_many evaluates its candidates in blocks of _CHUNK rows,
+# or of more while the (live table rows, candidates) block stays within
+# _PAIRS entries: a one-hot stream's table has one live row, and tables of
+# 256 rows or more keep _CHUNK-row blocks
 _CHUNK = 256
+_PAIRS = 1 << 16
 
 
 def _next_grid(grid, t):
@@ -250,8 +265,9 @@ class UPState:
             zero_mask, 0.0, -np.log(np.where(zero_mask, 1.0, cands))
         )
         neglog[:, self.K] = 1.0
-        for lo in range(0, A, _CHUNK):
-            hi = min(lo + _CHUNK, A)
+        chunk = max(_CHUNK, _PAIRS // aug.shape[0])
+        for lo in range(0, A, chunk):
+            hi = min(lo + chunk, A)
             L = aug @ neglog[lo:hi].T  # (M, chunk)
             mx = L.max(axis=0)
             L -= mx[None, :]

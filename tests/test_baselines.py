@@ -11,14 +11,15 @@ from simplexcs.baselines import (
     mardia_gate,
     mardia_membership,
     mardia_radius,
-    mardia_set,
+    mardia_ball,
+    mixture_log_wealth,
     mixture_membership,
     sanov_membership,
     sanov_radius,
 )
 from simplexcs.confset import simplex_candidate_grid
-from simplexcs.harness import running_set
-from simplexcs.numerics import log_binomial_tail
+from simplexcs.harness import Levels, SetRunner
+from simplexcs.numerics import kl_divergence, log_binomial_tail
 from simplexcs.wealth import DirichletPrior, kt_log_wealth
 
 
@@ -62,8 +63,9 @@ def test_bonferroni_level_equals_kt2_bonf_set():
     # the kt2-bonf set's threshold is -ln(delta / K); at delta 0.1, K = 3 it
     # is one ulp above ln 3 - ln 0.1, so a coordinate wealth of exactly
     # ln 3 - ln 0.1 is in both
-    _, cs = running_set("kt2-bonf", simplex_candidate_grid(3, 4), 0.1,
-                        DirichletPrior.jeffreys(3))
+    grid = simplex_candidate_grid(3, 4)
+    cs = SetRunner("kt2-bonf", Levels(grid, grid[:0]), 0.1,
+                   DirichletPrior.jeffreys(3)).cs
     w = np.array([math.log(3.0) - math.log(0.1), 0.0, 0.0])
     assert w[0] < cs.threshold
     assert bonferroni_membership(w, 0.1)
@@ -75,6 +77,23 @@ def test_mixture_membership():
     assert not mixture_membership(np.log([39.0, 39.0]), 0.05)
     assert mixture_membership(np.zeros(3), 0.4)
     assert not mixture_membership(np.array([math.inf, 0.0]), 0.05)
+
+
+def test_mixture_log_wealth_equals_scipy_logsumexp():
+    # np.logaddexp.reduce adds the coordinates in order; scipy's logsumexp
+    # rescales by the largest: they agree to 1e-12, +inf entries included
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(47)
+    for K in (2, 3, 4, 5):
+        w = rng.uniform(-30.0, 60.0, size=(500, K))
+        w[::7, K // 2] = math.inf
+        want = logsumexp(w, axis=-1) - math.log(K)
+        got = mixture_log_wealth(w)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.max(np.abs(got[finite] - want[finite])) <= 1e-12
+        assert np.all(got[~finite] == math.inf)
 
 
 def test_mixture_strictness_witness():
@@ -121,9 +140,9 @@ def test_mardia_membership_gate():
     assert mardia_membership(mu_hat, mu_hat, 10, 0.05) is None
     assert mardia_membership(mu_hat, mu_hat, 34, 0.05) is True
     # the block form: the whole block below the gate, a KL ball past it
-    cands = simplex_candidate_grid(3, 10)
-    assert mardia_set(mu_hat, 33, cands, 0.05).all()
-    inside = mardia_set(mu_hat, 34, cands, 0.05)
+    kl = kl_divergence(mu_hat, simplex_candidate_grid(3, 10))
+    assert mardia_ball(kl, 33, 3, 0.05).all()
+    inside = mardia_ball(kl, 34, 3, 0.05)
     assert inside.any() and not inside.all()
 
 

@@ -200,6 +200,8 @@ def test_wor_stream_bad_line_exits_2(tmp_path, capsys, text, bad_line,
      "simulate: grid resolution must be >= 1"),
     (["wealth", "--method", "kt", "--obs", "unread", "--m", "0.5,0.5",
       "--alpha", "-1"], "wealth: Dirichlet prior requires positive alpha"),
+    (["simulate", "--k", "5", "--grid", "300", "--trials", "1", "--t", "2"],
+     "simulate: |G(5,300)| = 348881876 exceeds the grid cap"),
 ])
 def test_rejected_config_exits_2(argv, error, capsys):
     # a method name of the wrong kind, or a bad level, mu, concentration or
@@ -238,6 +240,8 @@ def test_simulate_preset_fig2(tmp_path, capsys):
      "wealth: --n 3 times --m is not an integer census of 3"),
     (["wealth", "--method", "ppr", "--m", "0.5,0.5,0.5", "--n", "4"],
      "wealth: --n 4 times --m is not an integer census of 4"),
+    (["confset", "--method", "kt", "--delta", "0.05", "--grid", "20000"],
+     "confset: |G(3,20000)| = 200030001 exceeds the grid cap"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, error):
     # an explicit 0 is used, not replaced by a default, and a value the

@@ -152,6 +152,37 @@ def test_confidence_set_update_validates():
         cs.update(np.full(5, math.nan))
 
 
+def test_compacted_set_equals_mask_oracle():
+    # oracle: full-length running max and active mask, updated through the
+    # mask each step; the compacted set matches it after every update,
+    # including steps that exclude nothing and a rejected NaN update
+    rng = np.random.default_rng(67)
+    cands = simplex_candidate_grid(3, 12)
+    A = cands.shape[0]
+    cs = ConfidenceSet(cands, 0.1)
+    run_max = np.zeros(A)
+    active = np.ones(A, dtype=bool)
+    for step in range(40):
+        lw = rng.normal(0.0, 0.8, size=int(active.sum())) + 0.04 * step
+        if step % 3 == 0:
+            lw = np.minimum(lw, run_max[active])  # nothing new crosses
+        run_max[active] = np.maximum(run_max[active], lw)
+        active = run_max < cs.threshold
+        cs.update(lw)
+        assert np.array_equal(cs.active, active)
+        assert np.array_equal(cs.running_max, run_max)
+        assert np.array_equal(cs.active_indices(), np.flatnonzero(active))
+        assert np.array_equal(cs.active_candidates(), cands[active])
+        assert cs.active_count() == active.sum()
+        assert cs.relative_volume() == active.mean()
+        if active.any():
+            bad = np.zeros(int(active.sum()))
+            bad[-1] = math.nan
+            with pytest.raises(ValueError):
+                cs.update(bad)
+    assert 0 < active.sum() < A
+
+
 def test_relative_volume_spot_case():
     # counts (2, 0), delta 0.05, grid G=4: boundary at m_1 ~ 0.1369
     cands = simplex_candidate_grid(2, 4)

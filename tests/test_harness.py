@@ -10,11 +10,18 @@ from simplexcs.baselines import (
     coordinate_log_wealths_many,
     mardia_gate,
     mardia_radius,
+    mixture_log_wealth,
     sanov_radius,
 )
 from simplexcs.confset import simplex_candidate_grid
 from simplexcs.harness import (
     ExperimentConfig,
+    Levels,
+    _cp_bonf_levels,
+    _kl_levels,
+    _kt2_max_levels,
+    _kt2_mix_levels,
+    _kt_levels,
     _make_runner,
     _truth_covered_wor,
     apply_preset,
@@ -25,7 +32,8 @@ from simplexcs.harness import (
     run_experiment,
     trial_rng,
 )
-from simplexcs.wealth import DirichletPrior
+from simplexcs.numerics import kl_divergence
+from simplexcs.wealth import DirichletPrior, UPState, _kt_terms, kt_log_wealth_many
 from simplexcs.wor import METHODS, AuditState
 
 
@@ -239,7 +247,7 @@ def test_kt2_bonf_set_equals_coordinatewise_running_max(K, delta):
     # one-hot draws, then probability vectors: fractional counts
     data = np.vstack([gen_categorical(truth, 40, rng),
                       gen_dirichlet(3.0 * truth + 0.2, 20, rng)])
-    runner = _make_runner("kt2-bonf", cands, truth, delta,
+    runner = _make_runner("kt2-bonf", Levels(cands, truth[None, :]), delta,
                           DirichletPrior.jeffreys(K))
     limit = math.log(K) - math.log(delta)
     counts = np.zeros(K)
@@ -287,7 +295,8 @@ def test_fresh_sets_equal_plain_oracle(K):
                       gen_dirichlet(3.0 * truth + 0.2, 50, rng)])
     assert len(data) >= mardia_gate(K)
     prior = DirichletPrior.jeffreys(K)
-    runners = {m: _make_runner(m, cands, truth, delta, prior)
+    levels = Levels(cands, truth[None, :])
+    runners = {m: _make_runner(m, levels, delta, prior)
                for m in ("sanov", "mardia", "cp-bonf")}
     counts = np.zeros(K)
     excluded = set()
@@ -318,3 +327,110 @@ def test_fresh_sets_equal_plain_oracle(K):
             if not all(mask):
                 excluded.add(m)
     assert excluded == set(runners)
+
+
+def _level_cases():
+    # K = 2..5 on grids with zero coordinates, an off-grid truth, and
+    # one-hot (integer, some zero) then fractional counts
+    for K, G in ((2, 37), (3, 23), (4, 9), (5, 6)):
+        rng = trial_rng(41, K)
+        truth = rng.dirichlet(np.ones(K))
+        data = np.vstack([gen_categorical(truth, 12, rng),
+                          gen_dirichlet(np.full(K, 0.7), 6, rng)])
+        yield K, simplex_candidate_grid(K, G), truth, np.cumsum(data, axis=0)
+
+
+def test_level_tables_equal_block_kernels():
+    # each kernel evaluated on the coordinate levels and gathered equals the
+    # same kernel on the row-major block of candidates and truth, bit for bit
+    jeffreys2 = DirichletPrior.jeffreys(2)
+    for K, cands, truth, cumulative in _level_cases():
+        block = np.vstack([cands, truth])
+        levels = Levels(cands, truth[None, :])
+        assert np.array_equal(levels.block, block)
+        assert levels.matrix.shape[0] < block.size
+        assert np.array_equal(levels.matrix.ravel()[levels.flat], block)
+        prior = DirichletPrior(np.full(K, 0.8))
+        for t, counts in enumerate(cumulative, start=1):
+            terms = _kt_terms(counts, levels.matrix).ravel()[levels.flat]
+            assert np.array_equal(terms, _kt_terms(counts, block))
+            assert np.array_equal(
+                _kt_levels(counts, t, levels.matrix, levels.flat, prior),
+                kt_log_wealth_many(counts, block, prior))
+            coords = coordinate_log_wealths_many(counts, t, block)
+            gathered = coordinate_log_wealths_many(
+                counts, t, levels.matrix).ravel()[levels.flat]
+            assert np.array_equal(gathered, coords)
+            assert np.array_equal(
+                _kt2_mix_levels(counts, t, levels.matrix, levels.flat,
+                                jeffreys2),
+                mixture_log_wealth(coords))
+            assert np.array_equal(
+                _kt2_max_levels(counts, t, levels.matrix, levels.flat,
+                                jeffreys2),
+                coords.max(axis=1))
+            mu_hat = counts / t
+            assert np.array_equal(_kl_levels(mu_hat, levels),
+                                  kl_divergence(mu_hat, block))
+            lo, hi = clopper_pearson_interval(
+                np.rint(counts).astype(np.int64), t, 0.1 / K)
+            assert np.array_equal(
+                _cp_bonf_levels(counts, t, levels, 0.1),
+                np.all((block >= lo) & (block <= hi), axis=1))
+
+
+def _block_log_wealth(method, K, prior):
+    """The parent form of each running-max method: a wealth state and the
+    block kernel, evaluated at every candidate each step."""
+    if method == "up":
+        return UPState(K, prior=prior), lambda s, cands: s.log_wealth_many(cands)
+    kernel = {
+        "kt": lambda k, t, c: kt_log_wealth_many(k, c, prior),
+        "kt2-mix": lambda k, t, c: mixture_log_wealth(
+            coordinate_log_wealths_many(k, t, c)),
+        "kt2-bonf": lambda k, t, c: coordinate_log_wealths_many(
+            k, t, c).max(axis=1),
+    }[method]
+    return None, kernel
+
+
+@pytest.mark.parametrize("method", ["kt", "up", "kt2-mix", "kt2-bonf"])
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_compacted_set_runner_equals_mask_oracle(method, K):
+    # oracle: every candidate is evaluated each step and its running max
+    # updated while a mask says it is active; the runner's compacted set
+    # has the same mask and running max, and the same coverage, every step
+    cands = simplex_candidate_grid(K, {2: 50, 3: 16, 4: 8}[K])
+    rng = trial_rng(47, K)
+    truth = rng.dirichlet(np.ones(K))
+    data = np.vstack([gen_categorical(truth, 30, rng),
+                      gen_dirichlet(8.0 * truth, 10, rng)])
+    delta = 0.1
+    prior = DirichletPrior(np.full(K, 0.5))
+    runner = _make_runner(method, Levels(cands, truth[None, :]), delta, prior)
+    state, kernel = _block_log_wealth(method, K, prior)
+    thr = -math.log(delta / K if method == "kt2-bonf" else delta)
+    block = np.vstack([cands, truth])
+    run_max = np.zeros(len(block))
+    active = np.ones(len(cands), dtype=bool)
+    counts = np.zeros(K)
+    for t, y in enumerate(data, start=1):
+        counts = counts + y
+        if state is None:
+            lw = kernel(counts, t, block)
+        else:
+            state = state.absorb(y)
+            lw = kernel(state, block)
+        live = np.append(active, True)
+        run_max[live] = np.maximum(run_max[live], lw[live])
+        active = run_max[:-1] < thr
+        runner.step(y)
+        assert np.array_equal(runner.cs.active, active), t
+        if method == "up":  # the matmul's rounding may follow the block width
+            assert np.allclose(runner.cs.running_max, run_max[:-1], rtol=0.0,
+                               atol=1e-12), t
+        else:
+            assert np.array_equal(runner.cs.running_max, run_max[:-1]), t
+        assert runner.metrics() == (active.mean(), bool(run_max[-1] < thr),
+                                    int(active.sum())), t
+    assert 0 < active.sum() < len(cands)

@@ -227,6 +227,38 @@ def test_up_log_wealth_many_matches_scalar():
         assert many[i] == pytest.approx(s.log_wealth(cands[i]), abs=1e-10)
 
 
+def test_up_log_wealth_many_chunks_by_table_size(monkeypatch):
+    # the candidates go through the matmul in chunks of _CHUNK rows, or of
+    # more while (live table rows) x (chunk rows) stays within _PAIRS: one
+    # chunk for a one-hot stream's single live row, 256-row chunks for a
+    # dense table.  The BLAS blocking, and so the rounding of
+    # each candidate's sum over table rows, may follow the chunk width, so
+    # other chunkings agree to 1e-12, not bit for bit
+    rng = np.random.default_rng(53)
+    cands = rng.dirichlet(np.ones(3), size=700)
+    onehot, dense = UPState(3), UPState(3)
+    for _ in range(90):
+        onehot = onehot.absorb(np.eye(3)[rng.integers(3)])
+        dense = dense.absorb(rng.dirichlet(np.ones(3)))
+    assert np.count_nonzero(onehot.table > -math.inf) == 1
+    assert np.count_nonzero(dense.table > -math.inf) == grid_size(3, 90) > 256
+    passes = []  # each chunk takes one log, of its (chunk,) column sums
+    log = np.log
+    monkeypatch.setattr(np, "log", lambda x, *a, **k: (
+        passes.append(np.ndim(x) == 1), log(x, *a, **k))[1])
+    want = {}
+    for s, n in ((onehot, 1), (dense, 3)):  # 700 = 2 * 256 + 188
+        passes.clear()
+        want[s] = s.log_wealth_many(cands)
+        assert sum(passes) == n
+    monkeypatch.undo()
+    for chunk, pairs in ((256, 1), (1, 1), (7, 50)):
+        monkeypatch.setattr(simplexcs.wealth, "_CHUNK", chunk)
+        monkeypatch.setattr(simplexcs.wealth, "_PAIRS", pairs)
+        for s, w in want.items():
+            assert np.max(np.abs(s.log_wealth_many(cands) - w)) <= 1e-12
+
+
 def test_up_martingale_mean_close_to_one():
     # under i.i.d. data with mean m, the UP wealth at m is a nonnegative
     # martingale with unit mean; Monte Carlo average should sit near 1
